@@ -47,7 +47,13 @@ fn main() {
     });
 
     let sets = build_training_sets(&db, &psl, &g.corpus, &ConsistencyPolicy::STRICT);
-    let biggest = &sets[0];
+    // Sets are sorted by host count; the biggest *tagged* one is the
+    // first that clears `min_tagged` (an untagged set returns before any
+    // learning runs).
+    let biggest = sets
+        .iter()
+        .find(|s| s.tagged() >= hoiho.options().min_tagged)
+        .expect("a learnable suffix");
     run_bench("stage3to5_learn_biggest_suffix", 10, || {
         hoiho.learn_suffix(&g.corpus.vps, black_box(biggest))
     });

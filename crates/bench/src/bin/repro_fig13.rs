@@ -8,12 +8,11 @@
 //! single regex's.
 
 use hoiho::train::{SuffixSet, TrainHost};
-use hoiho::{Hoiho, Outcome};
+use hoiho::Hoiho;
 use hoiho_geodb::GeoDb;
 use hoiho_geotypes::{Coordinates, Rtt};
 use hoiho_psl::PublicSuffixList;
 use hoiho_rtt::{ConsistencyPolicy, RouterRtts, VpId, VpSet};
-use std::sync::Arc;
 
 fn main() {
     let db = GeoDb::builtin();
@@ -46,16 +45,22 @@ fn main() {
         ("gsdr-disy-2.frankfurt.de.alter.net", ams, 11.0), // (l)
     ];
 
+    let rtts: Vec<RouterRtts> = rows
+        .iter()
+        .map(|&(_, vp, ms)| {
+            let mut rtts = RouterRtts::new();
+            rtts.record(vp, Rtt::from_ms(ms));
+            rtts
+        })
+        .collect();
     let hosts: Vec<TrainHost> = rows
         .iter()
+        .zip(&rtts)
         .enumerate()
-        .map(|(i, (h, vp, ms))| {
-            let mut rtts = RouterRtts::new();
-            rtts.record(*vp, Rtt::from_ms(*ms));
-            let rtts = Arc::new(rtts);
+        .map(|(i, ((h, _, _), rtts))| {
             let prefix = h.strip_suffix(".alter.net").expect("suffix");
             let tags =
-                hoiho::apparent::tag_prefix(&db, &vps, &rtts, prefix, &ConsistencyPolicy::STRICT);
+                hoiho::apparent::tag_prefix(&db, &vps, rtts, prefix, &ConsistencyPolicy::STRICT);
             TrainHost {
                 hostname: h.to_string(),
                 prefix: prefix.to_string(),
@@ -114,9 +119,8 @@ fn main() {
 
     // Per-hostname outcomes, like the figure's TP/FP/FN/UNK row.
     println!("\n## Per-hostname outcomes\n");
-    let hosts = set_hosts(&hoiho, &db, &vps, &rows);
     let policy = ConsistencyPolicy::STRICT;
-    let ctx = hoiho::EvalContext::new(&db, &vps, &policy, &nc.suffix, &hosts);
+    let ctx = hoiho::EvalContext::new(&db, &vps, &policy, &nc.suffix, &set.hosts);
     let eval = hoiho::eval::eval_nc(&ctx, &nc, None);
     for ((h, _, _), (ext, outcome, _)) in rows.iter().zip(eval.per_host.iter()) {
         let what = ext
@@ -125,31 +129,4 @@ fn main() {
             .unwrap_or_else(|| "-".to_string());
         println!("  {:44} {:28} {:?}", h, what, outcome);
     }
-    let _ = Outcome::Tp;
-}
-
-fn set_hosts(
-    _hoiho: &Hoiho<'_>,
-    db: &GeoDb,
-    vps: &VpSet,
-    rows: &[(&str, VpId, f64)],
-) -> Vec<TrainHost> {
-    rows.iter()
-        .enumerate()
-        .map(|(i, (h, vp, ms))| {
-            let mut rtts = RouterRtts::new();
-            rtts.record(*vp, Rtt::from_ms(*ms));
-            let rtts = Arc::new(rtts);
-            let prefix = h.strip_suffix(".alter.net").expect("suffix");
-            let tags =
-                hoiho::apparent::tag_prefix(db, vps, &rtts, prefix, &ConsistencyPolicy::STRICT);
-            TrainHost {
-                hostname: h.to_string(),
-                prefix: prefix.to_string(),
-                router: i as u32,
-                rtts,
-                tags,
-            }
-        })
-        .collect()
 }

@@ -12,7 +12,6 @@ use hoiho_geodb::GeoDb;
 use hoiho_geotypes::{Coordinates, Rtt};
 use hoiho_psl::PublicSuffixList;
 use hoiho_rtt::{ConsistencyPolicy, RouterRtts, VpId, VpSet};
-use std::sync::Arc;
 
 fn main() {
     let db = GeoDb::builtin();
@@ -33,16 +32,22 @@ fn main() {
         ("gig1.cr1.prg12.threesixty.net", 13.0),
     ];
 
+    let rtts: Vec<RouterRtts> = hosts
+        .iter()
+        .map(|&(_, ms)| {
+            let mut rtts = RouterRtts::new();
+            rtts.record(VpId(lcy.0), Rtt::from_ms(ms));
+            rtts
+        })
+        .collect();
     let train: Vec<TrainHost> = hosts
         .iter()
+        .zip(&rtts)
         .enumerate()
-        .map(|(i, (h, ms))| {
-            let mut rtts = RouterRtts::new();
-            rtts.record(VpId(lcy.0), Rtt::from_ms(*ms));
-            let rtts = Arc::new(rtts);
+        .map(|(i, ((h, _), rtts))| {
             let prefix = h.strip_suffix(".threesixty.net").expect("suffix");
             let tags =
-                hoiho::apparent::tag_prefix(&db, &vps, &rtts, prefix, &ConsistencyPolicy::STRICT);
+                hoiho::apparent::tag_prefix(&db, &vps, rtts, prefix, &ConsistencyPolicy::STRICT);
             TrainHost {
                 hostname: h.to_string(),
                 prefix: prefix.to_string(),

@@ -7,7 +7,7 @@ use hoiho::stale::detect_stale;
 use hoiho::{Geolocator, Hoiho, HoihoOptions};
 use hoiho_geodb::synth::expand_with_towns;
 use hoiho_geodb::{GeoDb, GeoDbBuilder};
-use hoiho_itdk::format::{parse_corpus, write_corpus};
+use hoiho_itdk::format::{read_corpus, write_corpus};
 use hoiho_itdk::spec::CorpusSpec;
 use hoiho_itdk::stats::CorpusStats;
 use hoiho_psl::PublicSuffixList;
@@ -68,8 +68,9 @@ fn dictionary(opts: &Options) -> Result<GeoDb, String> {
 
 fn load_corpus(opts: &Options, db_len: usize) -> Result<hoiho_itdk::Corpus, String> {
     let path = opts.require("corpus")?;
-    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    let corpus = parse_corpus(&text).map_err(|e| e.to_string())?;
+    // Streamed: the file's text is never held whole beside the corpus.
+    let file = std::fs::File::open(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+    let corpus = read_corpus(std::io::BufReader::new(file)).map_err(|e| e.to_string())?;
     // Sanity: the corpus references dictionary ids; a corpus generated
     // against a larger dictionary cannot be interpreted by a smaller one.
     for r in &corpus.routers {

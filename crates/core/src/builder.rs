@@ -391,7 +391,6 @@ mod tests {
     use hoiho_geodb::GeoDb;
     use hoiho_geotypes::{Coordinates, Rtt};
     use hoiho_rtt::{ConsistencyPolicy, RouterRtts, VpId, VpSet};
-    use std::sync::Arc;
 
     fn world() -> (GeoDb, VpSet) {
         let db = GeoDb::builtin();
@@ -554,12 +553,15 @@ mod tests {
         let (db, vps) = world();
         // NTT-style hostnames where the trailing vocab slot (`bb`, `ce`)
         // should become [a-z]{2}.
-        let mk = |prefix: &str, rtt: f64| {
+        let ping = |ms: f64| {
             let mut rtts = RouterRtts::new();
-            rtts.record(VpId(1), Rtt::from_ms(rtt));
-            let rtts = Arc::new(rtts);
+            rtts.record(VpId(1), Rtt::from_ms(ms));
+            rtts
+        };
+        let (near, nearish) = (ping(3.0), ping(3.5));
+        let mk = |prefix: &str, rtts| {
             let tags =
-                crate::apparent::tag_prefix(&db, &vps, &rtts, prefix, &ConsistencyPolicy::STRICT);
+                crate::apparent::tag_prefix(&db, &vps, rtts, prefix, &ConsistencyPolicy::STRICT);
             TrainHost {
                 hostname: format!("{prefix}.gin.example.net"),
                 prefix: prefix.to_string(),
@@ -569,9 +571,9 @@ mod tests {
             }
         };
         let hosts = vec![
-            mk("xe-0.a02.washdc04.us.bb", 3.0),
-            mk("ae-1.r20.washdc01.us.ce", 3.5),
-            mk("ae-2.r21.asbnva02.us.bb", 3.0),
+            mk("xe-0.a02.washdc04.us.bb", &near),
+            mk("ae-1.r20.washdc01.us.ce", &nearish),
+            mk("ae-2.r21.asbnva02.us.bb", &near),
         ];
         // A base regex with generic components.
         let base = base_regexes_for_host(&hosts[0].prefix, &hosts[0].tags, "gin.example.net");

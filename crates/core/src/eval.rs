@@ -258,7 +258,6 @@ mod tests {
     use hoiho_geotypes::{Coordinates, GeohintType, Rtt};
     use hoiho_regex::Regex;
     use hoiho_rtt::{ConsistencyPolicy, RouterRtts, VpId, VpSet};
-    use std::sync::Arc;
 
     const POLICY: ConsistencyPolicy = ConsistencyPolicy::STRICT;
 
@@ -270,18 +269,22 @@ mod tests {
         (db, vps)
     }
 
-    fn host(db: &GeoDb, vps: &VpSet, hostname: &str, rtt_pairs: &[(u16, f64)]) -> TrainHost {
+    /// A router's ping RTTs from `(vp, ms)` pairs.
+    fn ping(rtt_pairs: &[(u16, f64)]) -> RouterRtts {
         let mut rtts = RouterRtts::new();
         for (vp, ms) in rtt_pairs {
             rtts.record(VpId(*vp), Rtt::from_ms(*ms));
         }
-        let rtts = Arc::new(rtts);
+        rtts
+    }
+
+    fn host<'r>(db: &GeoDb, vps: &VpSet, hostname: &str, rtts: &'r RouterRtts) -> TrainHost<'r> {
         // For tests assume suffix is the final two labels.
         let prefix = {
             let parts: Vec<&str> = hostname.split('.').collect();
             parts[..parts.len() - 2].join(".")
         };
-        let tags = crate::apparent::tag_prefix(db, vps, &rtts, &prefix, &POLICY);
+        let tags = crate::apparent::tag_prefix(db, vps, rtts, &prefix, &POLICY);
         TrainHost {
             hostname: hostname.to_string(),
             prefix,
@@ -316,7 +319,8 @@ mod tests {
     #[test]
     fn tp_when_consistent() {
         let (db, vps) = world();
-        let h = host(&db, &vps, "cr1.lhr1.example.net", &[(1, 2.0)]);
+        let rtts = ping(&[(1, 2.0)]);
+        let h = host(&db, &vps, "cr1.lhr1.example.net", &rtts);
         let e = iata_regex().extract(&h.hostname);
         assert_eq!(classify_one(&db, &vps, &h, e.as_ref(), None), Outcome::Tp);
     }
@@ -325,7 +329,8 @@ mod tests {
     fn fp_when_inconsistent() {
         let (db, vps) = world();
         // 2ms from DC rules out London.
-        let h = host(&db, &vps, "cr1.lhr1.example.net", &[(0, 2.0)]);
+        let rtts = ping(&[(0, 2.0)]);
+        let h = host(&db, &vps, "cr1.lhr1.example.net", &rtts);
         let e = iata_regex().extract(&h.hostname);
         assert_eq!(classify_one(&db, &vps, &h, e.as_ref(), None), Outcome::Fp);
     }
@@ -333,7 +338,8 @@ mod tests {
     #[test]
     fn unk_when_not_in_dictionary() {
         let (db, vps) = world();
-        let h = host(&db, &vps, "cr1.qqq1.example.net", &[(0, 2.0)]);
+        let rtts = ping(&[(0, 2.0)]);
+        let h = host(&db, &vps, "cr1.qqq1.example.net", &rtts);
         let e = iata_regex().extract(&h.hostname);
         assert!(e.is_some());
         assert_eq!(classify_one(&db, &vps, &h, e.as_ref(), None), Outcome::Unk);
@@ -344,7 +350,8 @@ mod tests {
         let (db, vps) = world();
         // Tagged (lhr feasible from London VP) but the regex shape
         // doesn't match the hostname (extra label).
-        let h = host(&db, &vps, "a.b.cr1.lhr1x.example.net", &[(1, 2.0)]);
+        let rtts = ping(&[(1, 2.0)]);
+        let h = host(&db, &vps, "a.b.cr1.lhr1x.example.net", &rtts);
         assert!(h.is_tagged());
         assert_eq!(classify_one(&db, &vps, &h, None, None), Outcome::Fn);
     }
@@ -352,7 +359,8 @@ mod tests {
     #[test]
     fn ignore_when_untagged_and_unmatched() {
         let (db, vps) = world();
-        let h = host(&db, &vps, "static-1-2.example.net", &[(0, 5.0)]);
+        let rtts = ping(&[(0, 5.0)]);
+        let h = host(&db, &vps, "static-1-2.example.net", &rtts);
         assert!(!h.is_tagged());
         assert_eq!(classify_one(&db, &vps, &h, None, None), Outcome::Ignore);
     }
@@ -362,7 +370,8 @@ mod tests {
         let (db, vps) = world();
         // The hostname carries lhr + uk; a regex that extracts only lhr
         // must be penalised FN.
-        let h = host(&db, &vps, "x.mpr1.lhr15.uk.zip.example.net", &[(1, 2.0)]);
+        let rtts = ping(&[(1, 2.0)]);
+        let h = host(&db, &vps, "x.mpr1.lhr15.uk.zip.example.net", &rtts);
         let r = GeoRegex {
             regex: Regex::parse(r"^.+\.([a-z]{3})\d+\.[a-z]{2}\.[a-z]{3}\.example\.net$").unwrap(),
             plan: Plan {
@@ -377,7 +386,8 @@ mod tests {
     #[test]
     fn tp_when_cc_extracted() {
         let (db, vps) = world();
-        let h = host(&db, &vps, "x.mpr1.lhr15.uk.zip.example.net", &[(1, 2.0)]);
+        let rtts = ping(&[(1, 2.0)]);
+        let h = host(&db, &vps, "x.mpr1.lhr15.uk.zip.example.net", &rtts);
         let r = GeoRegex {
             regex: Regex::parse(r"^.+\.([a-z]{3})\d+\.([a-z]{2})\.[a-z]{3}\.example\.net$")
                 .unwrap(),
@@ -395,7 +405,8 @@ mod tests {
     #[test]
     fn tag_match_requires_same_type() {
         let (db, vps) = world();
-        let mut h = host(&db, &vps, "cr1.lhr1.example.net", &[(1, 2.0)]);
+        let rtts = ping(&[(1, 2.0)]);
+        let mut h = host(&db, &vps, "cr1.lhr1.example.net", &rtts);
         // Replace the real tags with a single CityName tag of the same
         // text carrying a cc requirement the regex cannot satisfy.
         h.tags = vec![Tag {
@@ -419,7 +430,8 @@ mod tests {
     #[test]
     fn tag_tie_breaks_to_first_span() {
         let (db, vps) = world();
-        let mut h = host(&db, &vps, "cr1.lhr1.example.net", &[(1, 2.0)]);
+        let rtts = ping(&[(1, 2.0)]);
+        let mut h = host(&db, &vps, "cr1.lhr1.example.net", &rtts);
         let locations = db.lookup_typed("lhr", GeohintType::Iata);
         h.tags = vec![
             Tag {
@@ -466,7 +478,8 @@ mod tests {
     #[test]
     fn unmeasured_router_extraction_is_tp_if_in_dict() {
         let (db, vps) = world();
-        let h = host(&db, &vps, "cr1.lhr1.example.net", &[]);
+        let rtts = ping(&[]);
+        let h = host(&db, &vps, "cr1.lhr1.example.net", &rtts);
         assert!(!h.is_tagged()); // no RTTs → no tags
         let e = iata_regex().extract(&h.hostname);
         assert_eq!(classify_one(&db, &vps, &h, e.as_ref(), None), Outcome::Tp);
@@ -483,7 +496,7 @@ mod tests {
             "lhr", "cdg", "fra", "ams", "iad", "qqq", "zzz", "xyz", "lon", "par",
         ];
         let ms_choices = [2.0, 8.0, 25.0, 60.0, 120.0];
-        let hosts: Vec<TrainHost> = (0..160)
+        let rows: Vec<(String, RouterRtts)> = (0..160)
             .map(|i| {
                 let hint = hints[rng.random_range(0..hints.len())];
                 let name = format!("cr{}.{hint}{}.example.net", i % 7, i % 4);
@@ -493,8 +506,12 @@ mod tests {
                         pairs.push((vp, ms_choices[rng.random_range(0..ms_choices.len())]));
                     }
                 }
-                host(&db, &vps, &name, &pairs)
+                (name, ping(&pairs))
             })
+            .collect();
+        let hosts: Vec<TrainHost> = rows
+            .iter()
+            .map(|(name, rtts)| host(&db, &vps, name, rtts))
             .collect();
         // A learned overlay for one junk token, to exercise the delta
         // path as well.

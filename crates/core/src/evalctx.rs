@@ -34,7 +34,6 @@ use hoiho_geotypes::{GeohintType, LocationId};
 use hoiho_rtt::{consistency::feasibility, ConsistencyPolicy, RouterRtts, VpSet};
 use std::cell::{Cell, Ref, RefCell};
 use std::collections::{HashMap, HashSet};
-use std::sync::Arc;
 
 /// Dense id of an interned `(hint text, type)` pair, private to one
 /// [`EvalContext`]. Ids are assigned in first-use order, which is the
@@ -66,10 +65,11 @@ struct Interner {
 /// Keys are `(caller-chosen u64, LocationId)`; the caller's key must
 /// uniquely identify one set of RTT samples — a router id for
 /// corpus-wide caches (`build_training_sets`, `detect_stale`), or the
-/// address of the shared `Arc<RouterRtts>` inside an [`EvalContext`]
-/// (robust even when hand-built hosts reuse a router id with different
-/// samples). Feasibility is a pure function of the samples, so cached
-/// answers are exactly what [`feasibility`] would return.
+/// address of the [`RouterRtts`] a training host borrows inside an
+/// [`EvalContext`] (robust even when hand-built hosts reuse a router id
+/// with different samples). Feasibility is a pure function of the
+/// samples, so cached answers are exactly what [`feasibility`] would
+/// return.
 #[derive(Debug, Default)]
 pub struct FeasibilityCache {
     map: RefCell<HashMap<(u64, LocationId), bool>>,
@@ -155,7 +155,7 @@ pub struct EvalContext<'a> {
     pub suffix: &'a str,
     /// The suffix's training hosts (borrowed — candidates no longer
     /// clone the suffix or hosts into throwaway conventions).
-    pub hosts: &'a [TrainHost],
+    pub hosts: &'a [TrainHost<'a>],
     interner: RefCell<Interner>,
     feas: FeasibilityCache,
     decode_hits: Cell<u64>,
@@ -169,7 +169,7 @@ impl<'a> EvalContext<'a> {
         vps: &'a VpSet,
         policy: &'a ConsistencyPolicy,
         suffix: &'a str,
-        hosts: &'a [TrainHost],
+        hosts: &'a [TrainHost<'a>],
     ) -> EvalContext<'a> {
         EvalContext {
             db,
@@ -227,13 +227,13 @@ impl<'a> EvalContext<'a> {
     }
 
     /// Memoized RTT feasibility of `loc` for `host`'s router. Keyed by
-    /// the address of the host's shared RTT table, so hosts of one
+    /// the address of the RTT samples the host borrows, so hosts of one
     /// router share answers while hand-built test hosts that reuse a
     /// router id with different samples stay distinct.
     pub fn feasible(&self, host: &TrainHost, loc: LocationId) -> bool {
-        let key = Arc::as_ptr(&host.rtts) as u64;
+        let key = std::ptr::from_ref(host.rtts) as u64;
         self.feas
-            .feasible(self.db, self.vps, self.policy, key, &host.rtts, loc)
+            .feasible(self.db, self.vps, self.policy, key, host.rtts, loc)
     }
 
     /// Resolve interned ids back to sorted hint texts — the report

@@ -319,7 +319,6 @@ mod tests {
     use hoiho_geotypes::{Coordinates, Rtt};
     use hoiho_regex::Regex;
     use hoiho_rtt::{ConsistencyPolicy, RouterRtts, VpId, VpSet};
-    use std::sync::Arc;
 
     const POLICY: ConsistencyPolicy = ConsistencyPolicy::STRICT;
 
@@ -331,21 +330,25 @@ mod tests {
         (db, vps)
     }
 
-    fn host(
-        db: &GeoDb,
-        vps: &VpSet,
-        router: u32,
-        hostname: &str,
-        rtt_pairs: &[(u16, f64)],
-    ) -> TrainHost {
+    /// A router's ping RTTs from `(vp, ms)` pairs.
+    fn ping(rtt_pairs: &[(u16, f64)]) -> RouterRtts {
         let mut rtts = RouterRtts::new();
         for (vp, ms) in rtt_pairs {
             rtts.record(VpId(*vp), Rtt::from_ms(*ms));
         }
-        let rtts = Arc::new(rtts);
+        rtts
+    }
+
+    fn host<'r>(
+        db: &GeoDb,
+        vps: &VpSet,
+        router: u32,
+        hostname: &str,
+        rtts: &'r RouterRtts,
+    ) -> TrainHost<'r> {
         let parts: Vec<&str> = hostname.split('.').collect();
         let prefix = parts[..parts.len() - 2].join(".");
-        let tags = crate::apparent::tag_prefix(db, vps, &rtts, &prefix, &ConsistencyPolicy::STRICT);
+        let tags = crate::apparent::tag_prefix(db, vps, rtts, &prefix, &ConsistencyPolicy::STRICT);
         TrainHost {
             hostname: hostname.to_string(),
             prefix,
@@ -353,6 +356,21 @@ mod tests {
             rtts,
             tags,
         }
+    }
+
+    /// One host per router, numbered from 1, each borrowing its row's
+    /// RTTs from `rtts`.
+    fn routers<'r>(
+        db: &GeoDb,
+        vps: &VpSet,
+        rows: &[(&str, (u16, f64))],
+        rtts: &'r [RouterRtts],
+    ) -> Vec<TrainHost<'r>> {
+        rows.iter()
+            .zip(rtts)
+            .enumerate()
+            .map(|(i, ((hostname, _), rtts))| host(db, vps, i as u32 + 1, hostname, rtts))
+            .collect()
     }
 
     /// Reproduce figure 8a: he.net-style hostnames using "ash" for
@@ -371,14 +389,16 @@ mod tests {
         };
         // Four Ashburn routers (3–9 ms from College Park) plus three
         // legitimate Zurich routers so the NC itself is confident.
-        let hosts = vec![
-            host(&db, &vps, 1, "gcr.core1.ash1.example.net", &[(0, 9.0)]),
-            host(&db, &vps, 2, "ge1-2.core1.ash1.example.net", &[(0, 3.0)]),
-            host(&db, &vps, 3, "ge10-1.core2.ash1.example.net", &[(0, 3.0)]),
-            host(&db, &vps, 4, "ve401.core2.ash1.example.net", &[(0, 5.0)]),
-            host(&db, &vps, 5, "a.core1.zrh1.example.net", &[(1, 2.0)]),
-            host(&db, &vps, 6, "b.core1.zrh2.example.net", &[(1, 2.0)]),
+        let rows = [
+            ("gcr.core1.ash1.example.net", (0, 9.0)),
+            ("ge1-2.core1.ash1.example.net", (0, 3.0)),
+            ("ge10-1.core2.ash1.example.net", (0, 3.0)),
+            ("ve401.core2.ash1.example.net", (0, 5.0)),
+            ("a.core1.zrh1.example.net", (1, 2.0)),
+            ("b.core1.zrh2.example.net", (1, 2.0)),
         ];
+        let rtts: Vec<RouterRtts> = rows.iter().map(|(_, s)| ping(&[*s])).collect();
+        let hosts = routers(&db, &vps, &rows, &rtts);
         let ctx = EvalContext::new(&db, &vps, &POLICY, "example.net", &hosts);
         let eval = eval_nc(&ctx, &nc, None);
         // "ash" decodes to Nashua which is ~700km away: FPs.
@@ -411,43 +431,15 @@ mod tests {
         };
         // Milan is ~220km from the Zurich VP. Include enough real CLLI
         // extractions for NC confidence.
-        let hosts = vec![
-            host(
-                &db,
-                &vps,
-                1,
-                "ae-7.r02.mlanit01.it.bb.example.net",
-                &[(1, 6.0)],
-            ),
-            host(
-                &db,
-                &vps,
-                2,
-                "ae-3.r21.mlanit02.it.bb.example.net",
-                &[(1, 6.0)],
-            ),
-            host(
-                &db,
-                &vps,
-                3,
-                "x.r01.zrchzh01.ch.bb.example.net",
-                &[(1, 1.0)],
-            ),
-            host(
-                &db,
-                &vps,
-                4,
-                "x.r01.gnvege01.ch.bb.example.net",
-                &[(1, 4.0)],
-            ),
-            host(
-                &db,
-                &vps,
-                5,
-                "x.r01.mnchby01.de.bb.example.net",
-                &[(1, 4.5)],
-            ),
+        let rows = [
+            ("ae-7.r02.mlanit01.it.bb.example.net", (1, 6.0)),
+            ("ae-3.r21.mlanit02.it.bb.example.net", (1, 6.0)),
+            ("x.r01.zrchzh01.ch.bb.example.net", (1, 1.0)),
+            ("x.r01.gnvege01.ch.bb.example.net", (1, 4.0)),
+            ("x.r01.mnchby01.de.bb.example.net", (1, 4.5)),
         ];
+        let rtts: Vec<RouterRtts> = rows.iter().map(|(_, s)| ping(&[*s])).collect();
+        let hosts = routers(&db, &vps, &rows, &rtts);
         // The supporting hostnames use the derived dictionary CLLI
         // prefixes for Zurich/Geneva/Munich so the NC itself looks sane.
         let ctx = EvalContext::new(&db, &vps, &POLICY, "example.net", &hosts);
@@ -472,13 +464,8 @@ mod tests {
             }],
         };
         // Only one Ashburn router: below the 3-congruent-router bar.
-        let hosts = vec![host(
-            &db,
-            &vps,
-            1,
-            "gcr.core1.ash1.example.net",
-            &[(0, 5.0)],
-        )];
+        let rtts = ping(&[(0, 5.0)]);
+        let hosts = vec![host(&db, &vps, 1, "gcr.core1.ash1.example.net", &rtts)];
         let ctx = EvalContext::new(&db, &vps, &POLICY, "example.net", &hosts);
         let eval = eval_nc(&ctx, &nc, None);
         let learned = learn_hints(&ctx, &LearnPolicy::default(), &nc, &eval);

@@ -6,11 +6,11 @@ use crate::eval::{eval_nc, eval_regex, EvalResult, Metrics, Outcome};
 use crate::evalctx::EvalContext;
 use crate::learned::{learn_hints, LearnPolicy, LearnedHints};
 use crate::rank::{classify_nc, select_nc, NcClass};
-use crate::train::{build_training_sets, SuffixSet};
+use crate::train::{build_training_sets, training_sets_over, SuffixSet};
 use hoiho_geodb::GeoDb;
 use hoiho_itdk::Corpus;
 use hoiho_psl::PublicSuffixList;
-use hoiho_rtt::{ConsistencyPolicy, VpSet};
+use hoiho_rtt::{ConsistencyPolicy, RouterRtts, VpSet};
 use std::collections::{HashMap, HashSet};
 
 /// Tunables of the learner.
@@ -174,28 +174,22 @@ impl<'a> Hoiho<'a> {
         let _learn_span = hoiho_obs::span("learn");
         // Measurement hygiene first: drop VPs whose RTTs are physically
         // implausible across the whole campaign (spoofing middleboxes).
+        // Learning reads only the ping RTTs, so when VPs are discarded
+        // only those are rebuilt without them, never the whole corpus.
         let mut spoofed_vps = Vec::new();
-        let sanitized: Option<Corpus> = if self.opts.filter_spoofed_vps {
+        let stripped: Option<Vec<RouterRtts>> = if self.opts.filter_spoofed_vps {
             let _span = hoiho_obs::span("learn.filter_vps");
-            let refs: Vec<&hoiho_rtt::RouterRtts> =
-                corpus.routers.iter().map(|r| &r.rtts).collect();
+            let refs: Vec<&RouterRtts> = corpus.routers.iter().map(|r| &r.rtts).collect();
             spoofed_vps =
                 hoiho_rtt::fault::detect_spoofing_vps_blind(&corpus.vps, &refs, 5.0, 5.0, 20);
-            if spoofed_vps.is_empty() {
-                None
-            } else {
-                let mut clean = corpus.clone();
-                for r in &mut clean.routers {
-                    r.rtts = hoiho_rtt::fault::strip_vps(&r.rtts, &spoofed_vps);
-                    r.traceroute_rtts =
-                        hoiho_rtt::fault::strip_vps(&r.traceroute_rtts, &spoofed_vps);
-                }
-                Some(clean)
-            }
+            (!spoofed_vps.is_empty()).then(|| {
+                refs.iter()
+                    .map(|r| hoiho_rtt::fault::strip_vps(r, &spoofed_vps))
+                    .collect()
+            })
         } else {
             None
         };
-        let corpus = sanitized.as_ref().unwrap_or(corpus);
         if hoiho_obs::enabled() && !spoofed_vps.is_empty() {
             hoiho_obs::progress(format!(
                 "discarded {} spoofing vantage point(s)",
@@ -204,7 +198,12 @@ impl<'a> Hoiho<'a> {
         }
         let sets = {
             let _span = hoiho_obs::span("learn.train");
-            build_training_sets(self.db, self.psl, corpus, &self.opts.policy)
+            match &stripped {
+                Some(rtts) => {
+                    training_sets_over(self.db, self.psl, corpus, rtts, &self.opts.policy)
+                }
+                None => build_training_sets(self.db, self.psl, corpus, &self.opts.policy),
+            }
         };
 
         let mut routers_with_apparent: HashSet<u32> = HashSet::new();

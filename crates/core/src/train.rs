@@ -5,26 +5,26 @@ use crate::evalctx::FeasibilityCache;
 use hoiho_geodb::GeoDb;
 use hoiho_itdk::Corpus;
 use hoiho_psl::PublicSuffixList;
-use hoiho_rtt::{ConsistencyPolicy, RouterRtts, VpSet};
+use hoiho_rtt::{ConsistencyPolicy, RouterRtts};
 use std::collections::HashMap;
-use std::sync::Arc;
 
 /// One hostname with its stage-2 tags and the RTT samples of its router.
 #[derive(Debug, Clone)]
-pub struct TrainHost {
+pub struct TrainHost<'c> {
     /// Full hostname.
     pub hostname: String,
     /// The part before the registerable suffix.
     pub prefix: String,
     /// Index of the router in the source corpus.
     pub router: u32,
-    /// Minimum ping RTTs of the router (shared across its hostnames).
-    pub rtts: Arc<RouterRtts>,
+    /// Minimum ping RTTs of the router, borrowed from the corpus (all
+    /// of the router's hostnames point at the same samples).
+    pub rtts: &'c RouterRtts,
     /// Apparent geohints (stage 2).
     pub tags: Vec<Tag>,
 }
 
-impl TrainHost {
+impl TrainHost<'_> {
     /// Whether stage 2 tagged an apparent geohint.
     pub fn is_tagged(&self) -> bool {
         !self.tags.is_empty()
@@ -33,14 +33,14 @@ impl TrainHost {
 
 /// All hostnames of one suffix.
 #[derive(Debug, Clone)]
-pub struct SuffixSet {
+pub struct SuffixSet<'c> {
     /// The registerable suffix.
     pub suffix: String,
     /// Training hostnames.
-    pub hosts: Vec<TrainHost>,
+    pub hosts: Vec<TrainHost<'c>>,
 }
 
-impl SuffixSet {
+impl SuffixSet<'_> {
     /// Number of tagged hostnames.
     pub fn tagged(&self) -> usize {
         self.hosts.iter().filter(|h| h.is_tagged()).count()
@@ -48,21 +48,40 @@ impl SuffixSet {
 }
 
 /// Group a corpus into per-suffix training sets, running stage 2 tagging
-/// on every hostname. Returns sets sorted by descending size.
-pub fn build_training_sets(
+/// on every hostname. Returns sets sorted by descending size. Hosts
+/// borrow their routers' ping RTTs from `corpus`.
+pub fn build_training_sets<'c>(
+    db: &GeoDb,
+    psl: &PublicSuffixList,
+    corpus: &'c Corpus,
+    policy: &ConsistencyPolicy,
+) -> Vec<SuffixSet<'c>> {
+    training_sets_over(
+        db,
+        psl,
+        corpus,
+        corpus.routers.iter().map(|r| &r.rtts),
+        policy,
+    )
+}
+
+/// [`build_training_sets`] with each router's ping RTTs taken from
+/// `rtts` (one per router, in corpus order) instead of from the corpus:
+/// the spoof filter passes stripped copies of the samples alone rather
+/// than a cleaned clone of the whole corpus.
+pub(crate) fn training_sets_over<'c>(
     db: &GeoDb,
     psl: &PublicSuffixList,
     corpus: &Corpus,
+    rtts: impl IntoIterator<Item = &'c RouterRtts>,
     policy: &ConsistencyPolicy,
-) -> Vec<SuffixSet> {
-    let vps: &VpSet = &corpus.vps;
+) -> Vec<SuffixSet<'c>> {
     // One corpus-wide feasibility cache, keyed by router id: every
     // hostname of a router probes the same candidate locations against
     // the same RTT samples.
     let feas = FeasibilityCache::new();
-    let mut by_suffix: HashMap<String, Vec<TrainHost>> = HashMap::new();
-    for (id, r) in corpus.iter() {
-        let rtts = Arc::new(r.rtts.clone());
+    let mut by_suffix: HashMap<String, Vec<TrainHost<'c>>> = HashMap::new();
+    for ((id, r), rtts) in corpus.iter().zip(rtts) {
         for h in r.hostnames() {
             let Some(suffix) = psl.registerable_suffix(h) else {
                 continue;
@@ -71,12 +90,13 @@ pub fn build_training_sets(
                 continue;
             };
             let prefix = prefix.to_ascii_lowercase();
-            let tags = tag_prefix_cached(db, vps, &rtts, &prefix, policy, &feas, id.0 as u64);
+            let tags =
+                tag_prefix_cached(db, &corpus.vps, rtts, &prefix, policy, &feas, id.0 as u64);
             by_suffix.entry(suffix).or_default().push(TrainHost {
                 hostname: h.to_ascii_lowercase(),
                 prefix,
                 router: id.0,
-                rtts: Arc::clone(&rtts),
+                rtts,
                 tags,
             });
         }

@@ -18,34 +18,44 @@ pub const C_FIBER_KM_PER_MS: f64 = C_VACUUM_KM_PER_MS * 2.0 / 3.0;
 
 /// A round-trip time in milliseconds.
 ///
-/// Stored as microseconds internally so the type is `Ord`/`Eq` and safe to
-/// use as a map key or in sorted structures; construction from `f64`
-/// milliseconds saturates at zero.
+/// Stored as whole microseconds in a `u32` so the type is `Ord`/`Eq`,
+/// safe to use as a map key or in sorted structures, and a
+/// `(VpId, Rtt)` sample packs into 8 bytes. The range tops out at
+/// `u32::MAX` µs (≈ 71.6 minutes), far beyond any Internet RTT.
+/// Construction saturates at both ends: [`Rtt::from_ms`] clamps
+/// negative inputs to zero, and both constructors clamp values past the
+/// range to [`Rtt::MAX`]. Parsers that must not lose data check the
+/// range themselves before constructing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct Rtt(u64);
+pub struct Rtt(u32);
 
 impl Rtt {
     /// Zero RTT (useful as an identity for `min` folds).
     pub const ZERO: Rtt = Rtt(0);
 
-    /// Construct from milliseconds; negative inputs clamp to zero.
+    /// The largest representable RTT, `u32::MAX` microseconds.
+    pub const MAX: Rtt = Rtt(u32::MAX);
+
+    /// Construct from milliseconds; negative inputs (and NaN) clamp to
+    /// zero, inputs past [`Rtt::MAX`] clamp to it.
     pub fn from_ms(ms: f64) -> Self {
-        Rtt((ms.max(0.0) * 1000.0).round() as u64)
+        // `as` from f64 saturates (and maps NaN to 0).
+        Rtt((ms.max(0.0) * 1000.0).round() as u32)
     }
 
-    /// Construct from whole microseconds.
+    /// Construct from whole microseconds, clamping past [`Rtt::MAX`].
     pub fn from_us(us: u64) -> Self {
-        Rtt(us)
+        Rtt(u32::try_from(us).unwrap_or(u32::MAX))
     }
 
     /// Value in milliseconds.
     pub fn as_ms(&self) -> f64 {
-        self.0 as f64 / 1000.0
+        f64::from(self.0) / 1000.0
     }
 
     /// Value in whole microseconds.
     pub fn as_us(&self) -> u64 {
-        self.0
+        u64::from(self.0)
     }
 }
 
@@ -111,6 +121,20 @@ mod tests {
     #[test]
     fn rtt_negative_clamps() {
         assert_eq!(Rtt::from_ms(-3.0), Rtt::ZERO);
+    }
+
+    #[test]
+    fn rtt_saturates_past_u32_microseconds() {
+        assert_eq!(
+            Rtt::from_us(u64::from(u32::MAX)).as_us(),
+            u64::from(u32::MAX)
+        );
+        assert_eq!(Rtt::from_us(u64::from(u32::MAX) + 1), Rtt::MAX);
+        assert_eq!(Rtt::from_us(u64::MAX), Rtt::MAX);
+        assert_eq!(Rtt::from_ms(1e12), Rtt::MAX);
+        assert_eq!(Rtt::from_ms(f64::INFINITY), Rtt::MAX);
+        assert_eq!(Rtt::from_ms(f64::NAN), Rtt::ZERO);
+        assert_eq!(std::mem::size_of::<Rtt>(), 4);
     }
 
     #[test]

@@ -13,6 +13,7 @@ use crate::{Corpus, HostnameTruth, Interface, Router, RouterId};
 use hoiho_geotypes::{Coordinates, LocationId, Rtt};
 use hoiho_rtt::{RouterRtts, VpId, VpSet};
 use std::fmt::Write as _;
+use std::io::BufRead;
 
 /// Error from the native-format parser.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -155,15 +156,59 @@ fn write_rtts(out: &mut String, tag: &str, rtts: &RouterRtts) -> std::fmt::Resul
     writeln!(out)
 }
 
-/// Parse the native `corpus-v1` format.
+/// Parse the native `corpus-v1` format from a string; see
+/// [`read_corpus`].
 pub fn parse_corpus(text: &str) -> Result<Corpus, CorpusParseError> {
+    read_corpus(text.as_bytes())
+}
+
+/// One line at a time from a reader, numbered from 1, without its line
+/// ending (`\n` or `\r\n`).
+struct NumberedLines<R> {
+    reader: R,
+    buf: String,
+    line: usize,
+}
+
+impl<R: BufRead> NumberedLines<R> {
+    fn next(&mut self) -> Result<Option<(usize, &str)>, CorpusParseError> {
+        self.buf.clear();
+        self.line += 1;
+        let n = self
+            .reader
+            .read_line(&mut self.buf)
+            .map_err(|e| CorpusParseError {
+                line: self.line,
+                msg: format!("read failed: {e}"),
+            })?;
+        if n == 0 {
+            return Ok(None);
+        }
+        let text = self.buf.strip_suffix('\n').unwrap_or(&self.buf);
+        let text = text.strip_suffix('\r').unwrap_or(text);
+        Ok(Some((self.line, text)))
+    }
+}
+
+/// Parse the native `corpus-v1` format as a stream: only the current
+/// line of the input is held in memory, so a corpus file never sits in
+/// memory beside the corpus it describes. Every router's RTT sample
+/// vectors end at exact capacity.
+///
+/// An `rtt`/`trtt` value must fit [`Rtt`]'s range (`u32` µs); a larger
+/// one is a parse error rather than a silently saturated sample.
+pub fn read_corpus<R: BufRead>(reader: R) -> Result<Corpus, CorpusParseError> {
     let _span = hoiho_obs::span("itdk.parse_corpus");
     let err = |line: usize, msg: &str| CorpusParseError {
         line,
         msg: msg.to_string(),
     };
-    let mut lines = text.lines().enumerate();
-    let (_, header) = lines.next().ok_or_else(|| err(1, "empty input"))?;
+    let mut lines = NumberedLines {
+        reader,
+        buf: String::new(),
+        line: 0,
+    };
+    let (_, header) = lines.next()?.ok_or_else(|| err(1, "empty input"))?;
     let label = header
         .strip_prefix("corpus-v1")
         .ok_or_else(|| err(1, "missing corpus-v1 header"))?
@@ -175,9 +220,10 @@ pub fn parse_corpus(text: &str) -> Result<Corpus, CorpusParseError> {
         vps: VpSet::new(),
         label,
     };
+    // One RTT line's samples, reused across lines.
+    let mut batch: Vec<(VpId, Rtt)> = Vec::new();
 
-    for (ln0, line) in lines {
-        let ln = ln0 + 1;
+    while let Some((ln, line)) = lines.next()? {
         let line = line.trim_end();
         if line.is_empty() || line.starts_with('#') {
             continue;
@@ -263,14 +309,18 @@ pub fn parse_corpus(text: &str) -> Result<Corpus, CorpusParseError> {
                 } else {
                     &mut r.traceroute_rtts
                 };
+                batch.clear();
                 for tok in parts {
                     let (vp, us) = tok
                         .split_once(':')
                         .ok_or_else(|| err(ln, "rtt: expected vp:us"))?;
                     let vp: u16 = vp.parse().map_err(|_| err(ln, "rtt: bad vp"))?;
-                    let us: u64 = us.parse().map_err(|_| err(ln, "rtt: bad us"))?;
-                    target.record(VpId(vp), Rtt::from_us(us));
+                    // u32 µs is exactly Rtt's range: a value past it
+                    // fails here instead of saturating.
+                    let us: u32 = us.parse().map_err(|_| err(ln, "rtt: bad us"))?;
+                    batch.push((VpId(vp), Rtt::from_us(u64::from(us))));
                 }
+                target.record_all(&batch);
             }
             other => return Err(err(ln, &format!("unknown record '{other}'"))),
         }
@@ -376,16 +426,88 @@ mod tests {
         assert_eq!(pairs.len(), expected);
     }
 
+    /// `read_corpus` through a deliberately tiny buffer, so lines
+    /// straddle buffer refills.
+    fn read_small(text: &str) -> Result<Corpus, CorpusParseError> {
+        read_corpus(std::io::BufReader::with_capacity(7, text.as_bytes()))
+    }
+
     #[test]
     fn parse_errors_are_reported_with_lines() {
-        assert!(parse_corpus("").is_err());
-        assert!(parse_corpus("bogus-header\n").is_err());
-        let e = parse_corpus("corpus-v1 x\niface 1.2.3.4\n").unwrap_err();
-        assert_eq!(e.line, 2);
-        let e = parse_corpus("corpus-v1 x\nnode N0 loc=zzz\n").unwrap_err();
-        assert_eq!(e.line, 2);
-        let e = parse_corpus("corpus-v1 x\nwhatisthis\n").unwrap_err();
-        assert!(e.msg.contains("unknown record"));
+        for parse in [parse_corpus, read_small] {
+            assert!(parse("").is_err());
+            assert!(parse("bogus-header\n").is_err());
+            let e = parse("corpus-v1 x\niface 1.2.3.4\n").unwrap_err();
+            assert_eq!(e.line, 2);
+            let e = parse("corpus-v1 x\nnode N0 loc=zzz\n").unwrap_err();
+            assert_eq!(e.line, 2);
+            let e = parse("corpus-v1 x\nwhatisthis\n").unwrap_err();
+            assert!(e.msg.contains("unknown record"));
+        }
+    }
+
+    #[test]
+    fn streamed_parse_matches_string_parse() {
+        let text = write_corpus(&sample());
+        // The same corpus with CRLF endings, comments and blank lines
+        // sprinkled between records.
+        let mut noisy = String::new();
+        for (i, line) in text.lines().enumerate() {
+            noisy.push_str(line);
+            noisy.push_str("\r\n");
+            if i % 7 == 1 {
+                noisy.push_str("# a comment\r\n\r\n");
+            }
+            if i % 11 == 3 {
+                noisy.push('\n');
+            }
+        }
+        // Writing back covers every field the format carries.
+        for streamed in [read_small(&text), read_small(&noisy), parse_corpus(&noisy)] {
+            assert_eq!(write_corpus(&streamed.expect("parse")), text);
+        }
+    }
+
+    #[test]
+    fn parsed_rtt_vectors_are_exactly_sized() {
+        let c = parse_corpus(&write_corpus(&sample())).expect("parse");
+        assert!(c.routers.iter().any(|r| r.rtts.len() > 4));
+        for r in &c.routers {
+            assert_eq!(r.rtts.capacity(), r.rtts.len());
+            assert_eq!(r.traceroute_rtts.capacity(), r.traceroute_rtts.len());
+        }
+        assert_eq!(std::mem::size_of::<(VpId, Rtt)>(), 8);
+        // Repeated and out-of-order samples merge to the minimum per VP,
+        // across lines too, still at exact capacity.
+        let c = parse_corpus("corpus-v1 x\nnode N0 loc=0\nrtt 3:900 1:500 3:700\nrtt 0:40 3:800\n")
+            .expect("parse");
+        let r = &c.routers[0].rtts;
+        let us: Vec<(u16, u64)> = r.samples().iter().map(|(v, t)| (v.0, t.as_us())).collect();
+        assert_eq!(us, vec![(0, 40), (1, 500), (3, 700)]);
+        assert_eq!(r.capacity(), r.len());
+    }
+
+    #[test]
+    fn rtt_past_u32_microseconds_is_rejected_not_saturated() {
+        let max = u32::MAX;
+        for tag in ["rtt", "trtt"] {
+            let ok = format!("corpus-v1 x\nnode N0 loc=0\n{tag} 0:{max}\n");
+            let c = read_small(&ok).expect("u32::MAX fits");
+            let r = if tag == "rtt" {
+                &c.routers[0].rtts
+            } else {
+                &c.routers[0].traceroute_rtts
+            };
+            assert_eq!(r.samples()[0].1.as_us(), u64::from(max));
+
+            let over = u64::from(max) + 1;
+            let bad = format!("corpus-v1 x\nvp a 0 0\nnode N0 loc=0\n{tag} 0:5 1:{over}\n");
+            for e in [parse_corpus(&bad), read_small(&bad)] {
+                let e = e.unwrap_err();
+                assert_eq!(e.line, 4, "{tag}");
+                assert_eq!(e.msg, "rtt: bad us");
+            }
+        }
     }
 
     #[test]

@@ -84,39 +84,55 @@ pub fn detect_spoofing_vps_blind(
     max_median_ms: f64,
     min_targets: usize,
 ) -> Vec<VpId> {
-    // One pass over the campaigns scatters every sample to its VP's
-    // bucket; the per-VP binary-search alternative touches each
-    // campaign's sample vector once per VP and is badly cache-hostile
-    // at corpus scale.
-    let mut per_vp: Vec<Vec<f64>> = vec![Vec::new(); vps.len()];
+    // Count each VP's samples, then scatter them into one flat array
+    // of per-VP buckets sized to those counts: 4 bytes a sample and no
+    // growth slack. One pass per step keeps the campaigns' sample
+    // vectors streaming through cache; the per-VP binary-search
+    // alternative touches each of them once per VP.
+    let mut next = vec![0usize; vps.len()];
     for samples in campaigns {
-        for (vp, rtt) in samples.samples() {
-            if let Some(bucket) = per_vp.get_mut(vp.0 as usize) {
-                bucket.push(rtt.as_ms());
+        for (vp, _) in samples.samples() {
+            if let Some(n) = next.get_mut(vp.0 as usize) {
+                *n += 1;
+            }
+        }
+    }
+    // Counts → bucket starts; scattering advances each to its end.
+    let mut total = 0;
+    for n in &mut next {
+        let count = *n;
+        *n = total;
+        total += count;
+    }
+    let mut flat = vec![Rtt::ZERO; total];
+    for samples in campaigns {
+        for &(vp, rtt) in samples.samples() {
+            if let Some(at) = next.get_mut(vp.0 as usize) {
+                flat[*at] = rtt;
+                *at += 1;
             }
         }
     }
     let mut flagged = Vec::new();
+    let mut start = 0;
     for (vp_id, _) in vps.iter() {
-        let rtts = &mut per_vp[vp_id.0 as usize];
-        if rtts.len() < min_targets {
+        let end = next[vp_id.0 as usize];
+        let rtts = &mut flat[start..end];
+        start = end;
+        if rtts.is_empty() || rtts.len() < min_targets {
             continue;
         }
         // Selection instead of a full sort: the spread needs only the
-        // extremes and the median is a single order statistic.
+        // extremes and the median is a single order statistic. Order
+        // statistics of the integer µs equal those of their `as_ms()`
+        // values (the conversion is monotonic), so converting after
+        // selection leaves every comparison below unchanged.
         let mid = rtts.len() / 2;
-        let (_, &mut median, _) = rtts.select_nth_unstable_by(mid, |a, b| a.total_cmp(b));
-        let mut lo = rtts[0];
-        let mut hi = rtts[0];
-        for &v in rtts.iter() {
-            if v.total_cmp(&lo).is_lt() {
-                lo = v;
-            }
-            if v.total_cmp(&hi).is_gt() {
-                hi = v;
-            }
-        }
-        if hi - lo <= max_spread_ms && median <= max_median_ms {
+        let median = *rtts.select_nth_unstable(mid).1;
+        let (lo, hi) = rtts
+            .iter()
+            .fold((rtts[0], rtts[0]), |(lo, hi), &v| (lo.min(v), hi.max(v)));
+        if hi.as_ms() - lo.as_ms() <= max_spread_ms && median.as_ms() <= max_median_ms {
             flagged.push(vp_id);
         }
     }
@@ -128,12 +144,14 @@ pub fn detect_spoofing_vps_blind(
 /// Remove every sample taken by the given VPs from a measurement —
 /// what the paper did manually for its seven spoofing VPs.
 pub fn strip_vps(samples: &RouterRtts, bad: &[VpId]) -> RouterRtts {
+    let kept: Vec<(VpId, Rtt)> = samples
+        .samples()
+        .iter()
+        .filter(|(vp, _)| !bad.contains(vp))
+        .copied()
+        .collect();
     let mut out = RouterRtts::new();
-    for (vp, rtt) in samples.samples() {
-        if !bad.contains(vp) {
-            out.record(*vp, *rtt);
-        }
-    }
+    out.record_all(&kept);
     if hoiho_obs::enabled() {
         hoiho_obs::counter!("rtt.spoof.samples_stripped").add((samples.len() - out.len()) as u64);
     }

@@ -121,9 +121,30 @@ impl RouterRtts {
         }
     }
 
+    /// Record a batch of samples, keeping the minimum per VP, as if
+    /// each were passed to [`RouterRtts::record`]. Unlike growing by
+    /// repeated `record`, the sample vector ends at exact capacity —
+    /// corpus parsing builds every router's samples this way.
+    pub fn record_all(&mut self, batch: &[(VpId, Rtt)]) {
+        let mut all = Vec::with_capacity(self.samples.len() + batch.len());
+        all.extend_from_slice(&self.samples);
+        all.extend_from_slice(batch);
+        // Sorting by (vp, rtt) puts each VP's minimum first.
+        all.sort_unstable();
+        all.dedup_by_key(|(vp, _)| *vp);
+        all.shrink_to_fit();
+        self.samples = all;
+    }
+
     /// All `(vp, min RTT)` samples.
     pub fn samples(&self) -> &[(VpId, Rtt)] {
         &self.samples
+    }
+
+    /// Sample slots allocated; equal to [`RouterRtts::len`] after
+    /// [`RouterRtts::record_all`], which parsed corpora are built with.
+    pub fn capacity(&self) -> usize {
+        self.samples.capacity()
     }
 
     /// Number of VPs with a sample.
@@ -172,6 +193,34 @@ mod tests {
             &[(VpId(1), Rtt::from_ms(5.0)), (VpId(3), Rtt::from_ms(7.0))]
         );
         assert_eq!(r.min_sample(), Some((VpId(1), Rtt::from_ms(5.0))));
+    }
+
+    #[test]
+    fn record_all_matches_record_at_exact_capacity() {
+        let batches: [&[(u16, f64)]; 3] = [
+            &[(3, 9.0), (1, 5.0), (3, 7.0)],
+            &[(3, 8.0), (0, 4.0), (1, 6.0), (1, 2.0)],
+            &[],
+        ];
+        let mut one_by_one = RouterRtts::new();
+        let mut batched = RouterRtts::new();
+        for batch in batches {
+            let batch: Vec<(VpId, Rtt)> = batch
+                .iter()
+                .map(|&(vp, ms)| (VpId(vp), Rtt::from_ms(ms)))
+                .collect();
+            for &(vp, rtt) in &batch {
+                one_by_one.record(vp, rtt);
+            }
+            batched.record_all(&batch);
+            assert_eq!(batched, one_by_one);
+            assert_eq!(batched.capacity(), batched.len());
+        }
+    }
+
+    #[test]
+    fn sample_packs_into_eight_bytes() {
+        assert_eq!(std::mem::size_of::<(VpId, Rtt)>(), 8);
     }
 
     #[test]
