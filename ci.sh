@@ -102,7 +102,16 @@ if want smoke; then
     done
     PORT=$(cat "$WORK/port")
     HOST=$(awk '$1 == "iface" { print $3; exit }' "$WORK/corpus.txt")
-    fetch "/lookup?h=$HOST" | grep -q "\"host\":\"$HOST\""
+    fetch "/lookup?h=$HOST" >"$WORK/lookup.http"
+    grep -q "\"host\":\"$HOST\"" "$WORK/lookup.http"
+    # Both protocols answer from one request core: the line reply is the
+    # HTTP body, byte for byte.
+    ./target/release/serve_probe --addr "127.0.0.1:$PORT" \
+        --line "{\"lookup\":\"$HOST\"}" >"$WORK/lookup.line"
+    cmp "$WORK/lookup.http" "$WORK/lookup.line" || {
+        echo "line and HTTP lookups of $HOST differ"
+        exit 1
+    }
     fetch "/healthz" >/dev/null
     # The line-JSON protocol answers on the same port.
     ./target/release/serve_probe --addr "127.0.0.1:$PORT" --line '{"cmd":"ping"}' |

@@ -17,6 +17,7 @@
 //! reports the fastest of N runs to damp scheduler noise.
 
 use hoiho::{Hoiho, HoihoOptions, LearnReport};
+use hoiho_bench::support::Flags;
 use hoiho_geodb::GeoDb;
 use hoiho_itdk::spec::CorpusSpec;
 use hoiho_psl::PublicSuffixList;
@@ -31,24 +32,13 @@ struct Args {
 }
 
 fn parse_args() -> Args {
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let value = |flag: &str| -> Option<String> {
-        argv.iter()
-            .position(|a| a == flag)
-            .and_then(|i| argv.get(i + 1).cloned())
-    };
-    let num = |flag: &str, default: usize| -> usize {
-        value(flag).map_or(default, |v| {
-            v.parse()
-                .unwrap_or_else(|_| panic!("{flag} must be a number, got {v}"))
-        })
-    };
+    let f = Flags::from_env();
     Args {
-        routers: num("--routers", 2000),
-        seed: num("--seed", 7) as u64,
-        threads: num("--threads", 1),
-        repeat: num("--repeat", 1).max(1),
-        out: value("--out"),
+        routers: f.num("--routers", 2000),
+        seed: f.num("--seed", 7) as u64,
+        threads: f.num("--threads", 1),
+        repeat: f.num("--repeat", 1).max(1),
+        out: f.value("--out"),
     }
 }
 

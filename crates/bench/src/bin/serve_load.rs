@@ -22,14 +22,10 @@
 //! `--addr` targets an already-running server instead of booting one
 //! (the reload exercise is skipped — the file is not ours to touch).
 
-use hoiho::artifact::write_artifacts;
-use hoiho::{Geolocator, Hoiho, HoihoOptions};
 use hoiho_bench::quantile;
-use hoiho_geodb::GeoDb;
-use hoiho_itdk::spec::CorpusSpec;
-use hoiho_psl::PublicSuffixList;
+use hoiho_bench::support::{push_batch, Flags, ServeFixture};
 use hoiho_rtt::rng::{Rng, StdRng};
-use hoiho_serve::{ConnLimits, LookupIndex, ReloadConfig, ServeConfig, Server, SharedIndex};
+use hoiho_serve::{ConnLimits, ReloadConfig, ServeConfig, Server, SharedIndex};
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -49,28 +45,17 @@ struct Args {
 }
 
 fn parse_args() -> Args {
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let value = |flag: &str| -> Option<String> {
-        argv.iter()
-            .position(|a| a == flag)
-            .and_then(|i| argv.get(i + 1).cloned())
-    };
-    let num = |flag: &str, default: usize| -> usize {
-        value(flag).map_or(default, |v| {
-            v.parse()
-                .unwrap_or_else(|_| panic!("{flag} must be a number, got {v}"))
-        })
-    };
+    let f = Flags::from_env();
     Args {
-        routers: num("--routers", 4000),
-        seed: num("--seed", 7) as u64,
-        clients: num("--clients", 4),
-        threads: num("--threads", 4),
-        batch: num("--batch", 8).max(1),
-        requests: num("--requests", 20_000),
-        reload: !argv.iter().any(|a| a == "--no-reload"),
-        out: value("--out"),
-        addr: value("--addr"),
+        routers: f.num("--routers", 4000),
+        seed: f.num("--seed", 7) as u64,
+        clients: f.num("--clients", 4),
+        threads: f.num("--threads", 4),
+        batch: f.num("--batch", 8).max(1),
+        requests: f.num("--requests", 20_000),
+        reload: !f.has("--no-reload"),
+        out: f.value("--out"),
+        addr: f.value("--addr"),
     }
 }
 
@@ -85,24 +70,9 @@ struct ClientStats {
 
 fn main() {
     let args = parse_args();
-    let db = Arc::new(GeoDb::builtin());
-    let psl = Arc::new(PublicSuffixList::builtin());
-
     // Corpus: the hostname pool the clients draw from (and, when we run
     // the server ourselves, the training set for its artifacts).
-    eprintln!("generating {}-router corpus…", args.routers);
-    let mut spec = CorpusSpec::ipv4_aug2020(args.routers);
-    spec.seed = args.seed;
-    let g = hoiho_itdk::generate(&db, &spec);
-    let hosts: Vec<String> = g
-        .corpus
-        .routers
-        .iter()
-        .flat_map(|r| r.interfaces.iter())
-        .filter_map(|i| i.hostname.as_ref())
-        .map(|h| h.to_ascii_lowercase())
-        .collect();
-    assert!(!hosts.is_empty(), "corpus generated no hostnames");
+    let fixture = ServeFixture::generate(args.routers, args.seed);
 
     // Either boot an in-process server on an ephemeral port or target
     // an external one.
@@ -112,20 +82,7 @@ fn main() {
     let addr = match &args.addr {
         Some(a) => a.clone(),
         None => {
-            eprintln!("learning artifacts…");
-            let hoiho = Hoiho::with_options(&db, &psl, HoihoOptions::default());
-            let report = hoiho.learn_corpus(&g.corpus);
-            let geo = Geolocator::from_report(&report);
-            let text = write_artifacts(&geo, &db);
-            let path = std::env::temp_dir().join(format!(
-                "hoiho-serve-load-{}-{}.artifacts",
-                std::process::id(),
-                args.seed
-            ));
-            std::fs::write(&path, &text).expect("write artifacts");
-            let index = LookupIndex::from_artifacts(Arc::clone(&db), Arc::clone(&psl), &text)
-                .expect("fresh artifacts parse");
-            eprintln!("index: {} suffix shards", index.len());
+            let learned = fixture.learn("serve-load");
             let cfg = ServeConfig {
                 addr: "127.0.0.1:0".to_string(),
                 threads: args.threads,
@@ -136,14 +93,14 @@ fn main() {
                     ..ConnLimits::default()
                 },
                 reload: reload.then(|| ReloadConfig {
-                    path: path.clone(),
+                    path: learned.path.clone(),
                     every: Duration::from_millis(30),
                 }),
             };
-            let s = Server::start(Arc::new(SharedIndex::new(index)), &cfg).expect("bind");
+            let s = Server::start(Arc::new(SharedIndex::new(learned.index)), &cfg).expect("bind");
             let a = s.local_addr().to_string();
             server = Some(s);
-            artifact_path = Some((path, text));
+            artifact_path = Some((learned.path, learned.text));
             a
         }
     };
@@ -152,7 +109,7 @@ fn main() {
     // selection is seeded per client, so the request stream is
     // reproducible run to run.
     let done = Arc::new(AtomicUsize::new(0));
-    let hosts = Arc::new(hosts);
+    let hosts = Arc::new(fixture.hosts);
     let started = Instant::now();
     let mut workers = Vec::new();
     for c in 0..args.clients {
@@ -322,16 +279,10 @@ fn client_loop(
             // A bare hostname line is the cheapest lookup form.
             req.push_str(&hosts[rng.random_range(0..hosts.len())]);
         } else {
-            req.push_str("{\"batch\":[");
-            for b in 0..batch {
-                if b > 0 {
-                    req.push(',');
-                }
-                req.push('"');
-                req.push_str(&hosts[rng.random_range(0..hosts.len())]);
-                req.push('"');
-            }
-            req.push_str("]}");
+            push_batch(
+                &mut req,
+                (0..batch).map(|_| hosts[rng.random_range(0..hosts.len())].as_str()),
+            );
         }
         req.push('\n');
         let t = Instant::now();

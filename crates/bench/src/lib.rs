@@ -3,7 +3,8 @@
 //! Every table and figure of the paper's evaluation has a `repro_*`
 //! binary in `src/bin/`; this library provides the pieces they share —
 //! the scaled ITDK presets, the ground-truth operator suite ([`gt`]),
-//! plain-text table rendering, and quantile helpers.
+//! plain-text table rendering, and quantile helpers — plus, in
+//! [`support`], what the serve and learn bench bins share.
 //!
 //! Scale is controlled with `HOIHO_SCALE` (routers per IPv4 corpus;
 //! IPv6 corpora are generated at ~22% of that, matching the paper's
@@ -11,6 +12,7 @@
 //! in release builds.
 
 pub mod gt;
+pub mod support;
 
 use hoiho_geodb::synth::expand_with_towns;
 use hoiho_geodb::{GeoDb, GeoDbBuilder};

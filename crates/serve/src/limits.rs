@@ -30,6 +30,7 @@
 
 use std::io::Read;
 use std::net::TcpStream;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
 /// How long a slow transfer runs before the byte-rate floor applies.
@@ -85,7 +86,8 @@ impl Default for ConnLimits {
 pub enum ReadOutcome {
     /// The requested line/body is complete and delivered.
     Complete,
-    /// Clean close before any byte of this item arrived.
+    /// Clean close before any byte of this item arrived, or a raised
+    /// stop flag while waiting for that first byte.
     Eof,
     /// No first byte within the idle window (reap the connection).
     Idle,
@@ -123,7 +125,10 @@ impl ConnReader {
 
     /// Read one `\n`-terminated line (newline included) into `out`.
     /// `hard`, when set, is an absolute deadline that overrides both
-    /// windows — HTTP uses it to bound the whole request.
+    /// windows — HTTP uses it to bound the whole request. `stop`, when
+    /// set and raised, ends a wait for the line's first byte with
+    /// [`ReadOutcome::Eof`] at the next read tick — the server's drain
+    /// closing a connection idle between requests.
     ///
     /// On [`ReadOutcome::TooLarge`] a short prefix of the oversized
     /// line is delivered so the caller can sniff the protocol for its
@@ -133,6 +138,7 @@ impl ConnReader {
         out: &mut String,
         limits: &ConnLimits,
         hard: Option<Instant>,
+        stop: Option<&AtomicBool>,
     ) -> ReadOutcome {
         let opened = Instant::now();
         let mut first_byte = if self.buf.is_empty() {
@@ -202,7 +208,11 @@ impl ConnReader {
                         ReadOutcome::Truncated
                     };
                 }
-                Step::Wait => {}
+                Step::Wait => {
+                    if first_byte.is_none() && stop.is_some_and(|s| s.load(Ordering::SeqCst)) {
+                        return ReadOutcome::Eof;
+                    }
+                }
                 Step::Fail => return ReadOutcome::Failed,
             }
         }
@@ -324,7 +334,7 @@ mod tests {
         for want in ["one\n", "two\n", "three\n"] {
             out.clear();
             assert_eq!(
-                reader.read_line(&mut out, &limits, None),
+                reader.read_line(&mut out, &limits, None, None),
                 ReadOutcome::Complete
             );
             assert_eq!(out, want);
@@ -337,11 +347,14 @@ mod tests {
         let limits = fast();
         let mut out = String::new();
         // Nothing sent: the idle window reaps it.
-        assert_eq!(reader.read_line(&mut out, &limits, None), ReadOutcome::Idle);
+        assert_eq!(
+            reader.read_line(&mut out, &limits, None, None),
+            ReadOutcome::Idle
+        );
         // A partial line then silence: the completion deadline fires.
         client.write_all(b"partial").expect("write");
         assert_eq!(
-            reader.read_line(&mut out, &limits, None),
+            reader.read_line(&mut out, &limits, None, None),
             ReadOutcome::TimedOut
         );
     }
@@ -355,10 +368,34 @@ mod tests {
         client.write_all(b"\n").expect("write");
         let mut out = String::new();
         assert_eq!(
-            reader.read_line(&mut out, &limits, None),
+            reader.read_line(&mut out, &limits, None, None),
             ReadOutcome::TooLarge
         );
         assert!(!out.is_empty() && out.len() <= 80, "prefix: {}", out.len());
+    }
+
+    #[test]
+    fn stop_flag_ends_only_the_wait_for_a_first_byte() {
+        let (mut client, mut reader) = pair();
+        let limits = ConnLimits {
+            idle_timeout: Duration::from_secs(30),
+            ..fast()
+        };
+        let stop = AtomicBool::new(true);
+        // A line already sent is still read and delivered.
+        client.write_all(b"one\n").expect("write");
+        let mut out = String::new();
+        assert_eq!(
+            reader.read_line(&mut out, &limits, None, Some(&stop)),
+            ReadOutcome::Complete
+        );
+        // Silence: the raised flag ends the idle wait within a tick.
+        let started = Instant::now();
+        assert_eq!(
+            reader.read_line(&mut out, &limits, None, Some(&stop)),
+            ReadOutcome::Eof
+        );
+        assert!(started.elapsed() < Duration::from_secs(1));
     }
 
     #[test]
@@ -369,12 +406,15 @@ mod tests {
         drop(client);
         let mut out = String::new();
         assert_eq!(
-            reader.read_line(&mut out, &limits, None),
+            reader.read_line(&mut out, &limits, None, None),
             ReadOutcome::Truncated
         );
         let (client, mut reader) = pair();
         drop(client);
-        assert_eq!(reader.read_line(&mut out, &limits, None), ReadOutcome::Eof);
+        assert_eq!(
+            reader.read_line(&mut out, &limits, None, None),
+            ReadOutcome::Eof
+        );
     }
 
     #[test]
@@ -417,7 +457,7 @@ mod tests {
         let mut out = String::new();
         let started = Instant::now();
         assert_eq!(
-            reader.read_line(&mut out, &limits, None),
+            reader.read_line(&mut out, &limits, None, None),
             ReadOutcome::TooSlow
         );
         assert!(
@@ -439,7 +479,7 @@ mod tests {
         let hard = Instant::now() + Duration::from_millis(80);
         let started = Instant::now();
         assert_eq!(
-            reader.read_line(&mut out, &limits, Some(hard)),
+            reader.read_line(&mut out, &limits, Some(hard), None),
             ReadOutcome::TimedOut
         );
         assert!(started.elapsed() < Duration::from_secs(2));
