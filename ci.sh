@@ -112,6 +112,14 @@ if want smoke; then
         echo "line and HTTP lookups of $HOST differ"
         exit 1
     }
+    # `hoiho apply` takes the same route: its location column is the
+    # lookup's "location" (a miss is "-" there and "ok":false here).
+    LOC=$(./target/release/hoiho apply --artifacts "$WORK/artifacts.txt" "$HOST" | cut -f2)
+    if [ "$LOC" = "-" ]; then WANT='"ok":false'; else WANT="\"location\":\"$LOC\""; fi
+    grep -qF "$WANT" "$WORK/lookup.http" || {
+        echo "hoiho apply says '$LOC' for $HOST, serve says: $(cat "$WORK/lookup.http")"
+        exit 1
+    }
     fetch "/healthz" >/dev/null
     # The line-JSON protocol answers on the same port.
     ./target/release/serve_probe --addr "127.0.0.1:$PORT" --line '{"cmd":"ping"}' |
@@ -127,6 +135,11 @@ if want smoke; then
             exit 1
         }
     done
+    # Series are per layer, never per suffix.
+    if printf '%s\n' "$METRICS" | grep -q '^hoiho_serve_shard_'; then
+        echo "/metrics has per-suffix hoiho_serve_shard_ series"
+        exit 1
+    fi
     post "/shutdown" >/dev/null
     wait "$SERVE_PID"
 fi

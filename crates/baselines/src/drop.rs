@@ -99,13 +99,10 @@ impl Drop {
         let mut tallies: HashMap<(String, DropRule), (usize, usize)> = HashMap::new();
         for (_, router) in corpus.iter() {
             for h in router.hostnames() {
-                let Some(suffix) = psl.registerable_suffix(h) else {
+                let h = h.to_ascii_lowercase();
+                let Some((prefix, suffix)) = psl.split(&h) else {
                     continue;
                 };
-                let Some(prefix) = psl.prefix_of(h) else {
-                    continue;
-                };
-                let prefix = prefix.to_ascii_lowercase();
                 let labels: Vec<&str> = prefix.split('.').collect();
                 for (i, label) in labels.iter().enumerate() {
                     let Some(token) = strip_one_digit(label) else {
@@ -133,7 +130,7 @@ impl Drop {
                         let consistent = locs
                             .iter()
                             .any(|&l| coarse_ok(db, &corpus.vps, &router.traceroute_rtts, l));
-                        let t = tallies.entry((suffix.clone(), rule)).or_insert((0, 0));
+                        let t = tallies.entry((suffix.to_string(), rule)).or_insert((0, 0));
                         t.0 += 1;
                         if consistent {
                             t.1 += 1;
@@ -196,9 +193,8 @@ impl Drop {
         hostname: &str,
     ) -> Option<LocationId> {
         let hostname = hostname.to_ascii_lowercase();
-        let suffix = psl.registerable_suffix(&hostname)?;
-        let rule = self.rules.get(&suffix)?;
-        let prefix = psl.prefix_of(&hostname)?;
+        let (prefix, suffix) = psl.split(&hostname)?;
+        let rule = self.rules.get(suffix)?;
         let labels: Vec<&str> = prefix.split('.').collect();
         // Rigid structure: exact label count (figure 2's failure mode).
         if labels.len() != rule.labels {

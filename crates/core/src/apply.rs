@@ -31,11 +31,8 @@ impl SuffixGeo {
     /// hostname that has already been routed to this suffix's artifacts.
     ///
     /// `hostname` must be lowercase (regexes are learned over lowercase
-    /// names) and should group under [`NamingConvention::suffix`] —
-    /// callers like the `hoiho-serve` shard index resolve the suffix
-    /// once with [`hoiho_psl::PublicSuffixList::registerable_suffix_of`]
-    /// and reuse a scratch buffer, so a non-matching query allocates
-    /// nothing.
+    /// names) and should group under [`NamingConvention::suffix`]:
+    /// [`Geolocator::route`] yields both.
     pub fn geolocate(&self, db: &GeoDb, hostname: &str) -> Option<GeoInference> {
         let obs = hoiho_obs::enabled();
         let e = self.nc.extract(hostname)?;
@@ -154,9 +151,27 @@ impl Geolocator {
         self.map.values()
     }
 
-    /// Geolocate a hostname: find its suffix's NC, extract, decode, and
-    /// disambiguate (facility first, then population — the stage-4
-    /// ranking).
+    /// The one route from a hostname to the convention that answers it,
+    /// shared by [`Geolocator::geolocate`] and the `hoiho-serve` index:
+    /// trim whitespace, lowercase into `scratch`, one PSL walk, one map
+    /// lookup. `scratch` is left holding the normalised hostname to pass
+    /// to [`SuffixGeo::geolocate`]; a caller that reuses it routes
+    /// without allocating.
+    pub fn route(
+        &self,
+        psl: &PublicSuffixList,
+        hostname: &str,
+        scratch: &mut String,
+    ) -> Option<&SuffixGeo> {
+        scratch.clear();
+        scratch.push_str(hostname.trim());
+        scratch.make_ascii_lowercase();
+        self.map.get(psl.registerable_suffix_of(scratch)?)
+    }
+
+    /// Geolocate a hostname: route it to its suffix's NC, extract,
+    /// decode, and disambiguate (facility first, then population — the
+    /// stage-4 ranking).
     pub fn geolocate(
         &self,
         db: &GeoDb,
@@ -166,9 +181,8 @@ impl Geolocator {
         if hoiho_obs::enabled() {
             hoiho_obs::counter!("apply.lookups").inc();
         }
-        let hostname = hostname.to_ascii_lowercase();
-        let suffix = psl.registerable_suffix(&hostname)?;
-        self.map.get(&suffix)?.geolocate(db, &hostname)
+        let mut host = String::new();
+        self.route(psl, hostname, &mut host)?.geolocate(db, &host)
     }
 }
 

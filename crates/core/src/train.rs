@@ -83,17 +83,14 @@ pub(crate) fn training_sets_over<'c>(
     let mut by_suffix: HashMap<String, Vec<TrainHost<'c>>> = HashMap::new();
     for ((id, r), rtts) in corpus.iter().zip(rtts) {
         for h in r.hostnames() {
-            let Some(suffix) = psl.registerable_suffix(h) else {
+            let hostname = h.to_ascii_lowercase();
+            let Some((prefix, suffix)) = psl.split(&hostname) else {
                 continue;
             };
-            let Some(prefix) = psl.prefix_of(h) else {
-                continue;
-            };
-            let prefix = prefix.to_ascii_lowercase();
-            let tags =
-                tag_prefix_cached(db, &corpus.vps, rtts, &prefix, policy, &feas, id.0 as u64);
+            let tags = tag_prefix_cached(db, &corpus.vps, rtts, prefix, policy, &feas, id.0 as u64);
+            let (prefix, suffix) = (prefix.to_string(), suffix.to_string());
             by_suffix.entry(suffix).or_default().push(TrainHost {
-                hostname: h.to_ascii_lowercase(),
+                hostname,
                 prefix,
                 router: id.0,
                 rtts,

@@ -825,11 +825,6 @@ pub fn progress(msg: String) {
     global().progress(msg);
 }
 
-/// Record a µs duration sample into the global histogram `name`.
-pub fn record(name: &str, us: u64) {
-    global().record(name, us);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

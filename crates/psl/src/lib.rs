@@ -9,6 +9,13 @@
 //! rules (`!www.ck`) — and answers "what suffix does this hostname group
 //! under".
 //!
+//! There is one walk of the list,
+//! [`PublicSuffixList::registerable_suffix_of`]: it takes a lowercase
+//! hostname of any label count and borrows the registerable suffix from
+//! it. Every other method delegates to it, so learning, `hoiho apply`
+//! and `hoiho serve` group a hostname identically. A name with an empty
+//! interior label (`a..b.com`) is not a hostname and has no suffix.
+//!
 //! A built-in list covering the effective TLDs that appear in router
 //! hostname corpora is embedded via [`PublicSuffixList::builtin`]; the
 //! full Mozilla list can be loaded with [`PublicSuffixList::parse`].
@@ -32,15 +39,13 @@ enum Rule {
     Exception,
 }
 
-/// Most labels a hostname may have and still be answered by the
-/// borrowed fast path [`PublicSuffixList::registerable_suffix_of`].
-pub const MAX_BORROWED_LABELS: usize = 32;
-
 /// A parsed public suffix list.
 #[derive(Debug, Clone)]
 pub struct PublicSuffixList {
     /// Keyed by the rule's labels joined with dots (without `*.`/`!`).
     rules: HashMap<String, Rule>,
+    /// Labels in the longest key: no longer candidate suffix can match.
+    max_labels: usize,
 }
 
 impl PublicSuffixList {
@@ -64,7 +69,11 @@ impl PublicSuffixList {
                 rules.insert(token, Rule::Normal);
             }
         }
-        PublicSuffixList { rules }
+        let max_labels = rules.keys().map(|k| k.split('.').count()).max();
+        PublicSuffixList {
+            rules,
+            max_labels: max_labels.unwrap_or(0),
+        }
     }
 
     /// The embedded list of effective TLDs.
@@ -82,33 +91,11 @@ impl PublicSuffixList {
         self.rules.is_empty()
     }
 
-    /// The length in labels of the public suffix of `labels`, per the PSL
-    /// algorithm (an unlisted TLD is a public suffix of one label).
-    fn public_suffix_labels(&self, labels: &[&str]) -> usize {
-        let mut best = 1; // prevailing default rule: "*"
-        for start in 0..labels.len() {
-            let key = labels[start..].join(".");
-            match self.rules.get(&key) {
-                Some(Rule::Normal) => best = best.max(labels.len() - start),
-                // The wildcard extends one label further left.
-                Some(Rule::Wildcard) if start > 0 => {
-                    best = best.max(labels.len() - start + 1);
-                }
-                Some(Rule::Exception) => {
-                    // Exception: the public suffix is the rule minus its
-                    // leftmost label.
-                    return labels.len() - start - 1;
-                }
-                _ => {}
-            }
-        }
-        best
-    }
-
     /// The *registerable suffix* (public suffix + one label) of a
     /// hostname, lowercased — the grouping key Hoiho learns conventions
-    /// per. Returns `None` when the hostname is itself a public suffix or
-    /// empty.
+    /// per. Surrounding whitespace is ignored. Returns `None` when the
+    /// hostname is itself a public suffix, empty, or has an empty
+    /// interior label (`a..b.com` is not a hostname).
     ///
     /// ```
     /// let psl = hoiho_psl::PublicSuffixList::builtin();
@@ -117,87 +104,92 @@ impl PublicSuffixList {
     /// assert_eq!(psl.registerable_suffix("com"), None);
     /// ```
     pub fn registerable_suffix(&self, hostname: &str) -> Option<String> {
-        let lower = hostname.trim_end_matches('.').to_ascii_lowercase();
-        let labels: Vec<&str> = lower.split('.').filter(|l| !l.is_empty()).collect();
-        if labels.is_empty() {
-            return None;
-        }
-        let ps = self.public_suffix_labels(&labels);
-        if labels.len() <= ps {
-            return None;
-        }
-        Some(labels[labels.len() - ps - 1..].join("."))
+        let lower = hostname.trim().to_ascii_lowercase();
+        self.registerable_suffix_of(&lower).map(str::to_string)
     }
 
-    /// Allocation-free variant of [`PublicSuffixList::registerable_suffix`]
-    /// for hot paths (the `hoiho-serve` lookup index): returns the
-    /// registerable suffix as a slice borrowed from `hostname`.
+    /// The registerable suffix of an **already-lowercased** hostname, as
+    /// a tail slice borrowed from it — the one walk of the list, which
+    /// every other method delegates to.
     ///
-    /// The caller must pass an **already-lowercased** hostname (e.g. via
-    /// [`str::make_ascii_lowercase`] into a reusable buffer); a hostname
-    /// containing ASCII uppercase returns `None` rather than a
-    /// wrong-cased grouping key. Hostnames with empty interior labels
-    /// (`a..b.com`) or more than [`MAX_BORROWED_LABELS`] labels are not
-    /// handled by this fast path and also return `None` — use the
-    /// allocating [`PublicSuffixList::registerable_suffix`] for those.
+    /// Leading and trailing dots are ignored and any number of labels is
+    /// answered. A hostname containing ASCII uppercase returns `None`
+    /// rather than a wrong-cased grouping key, as does one with an empty
+    /// interior label.
     ///
     /// ```
     /// let psl = hoiho_psl::PublicSuffixList::builtin();
     /// assert_eq!(psl.registerable_suffix_of("r1.lon.gtt.net"), Some("gtt.net"));
     /// assert_eq!(psl.registerable_suffix_of("com"), None);
+    /// assert_eq!(psl.registerable_suffix_of("a..b.gtt.net"), None);
     /// ```
     pub fn registerable_suffix_of<'h>(&self, hostname: &'h str) -> Option<&'h str> {
         let host = hostname.trim_matches('.');
-        if host.is_empty() {
-            return None;
-        }
-        // One pass: collect label start offsets on the stack, reject
-        // inputs the borrowed path cannot answer correctly.
-        let mut starts = [0usize; MAX_BORROWED_LABELS];
-        let mut n = 1;
         let bytes = host.as_bytes();
-        for (i, &b) in bytes.iter().enumerate() {
-            if b.is_ascii_uppercase() {
-                return None;
-            }
-            if b == b'.' {
-                if bytes[i + 1] == b'.' {
-                    return None; // empty interior label
-                }
-                if n == MAX_BORROWED_LABELS {
-                    return None;
-                }
-                starts[n] = i + 1;
-                n += 1;
-            }
-        }
-        // The PSL walk of `public_suffix_labels`, but each candidate key
-        // is a suffix slice of `host` instead of a joined allocation.
-        let reg_at = |ps: usize| (n > ps).then(|| &host[starts[n - ps - 1]..]);
         let mut best = 1; // prevailing default rule: "*"
-        for idx in 0..n {
-            match self.rules.get(&host[starts[idx]..]) {
-                Some(Rule::Normal) => best = best.max(n - idx),
+        let mut exception = None;
+        // One pass right to left. At each label start, the `k`-th label
+        // from the right, the tail from there is a candidate suffix.
+        let (mut k, mut end) = (0, bytes.len());
+        for start in (0..=bytes.len()).rev() {
+            if start > 0 {
+                match bytes[start - 1] {
+                    b'.' => {}
+                    b if b.is_ascii_uppercase() => return None,
+                    _ => continue,
+                }
+            }
+            if start == end {
+                return None; // empty label
+            }
+            k += 1;
+            end = start.saturating_sub(1);
+            if k > self.max_labels {
+                continue;
+            }
+            match self.rules.get(&host[start..]) {
+                Some(Rule::Normal) => best = best.max(k),
                 // The wildcard extends one label further left.
-                Some(Rule::Wildcard) if idx > 0 => best = best.max(n - idx + 1),
-                Some(Rule::Exception) => return reg_at(n - idx - 1),
+                Some(Rule::Wildcard) if start > 0 => best = best.max(k + 1),
+                // The longest exception wins outright: the public suffix
+                // is the rule minus its leftmost label.
+                Some(Rule::Exception) => exception = Some(k - 1),
                 _ => {}
             }
         }
-        reg_at(best)
+        // The registerable suffix is the public suffix plus one label.
+        let ps = exception.unwrap_or(best);
+        if ps >= k {
+            return None;
+        }
+        let at = host
+            .rmatch_indices('.')
+            .nth(ps)
+            .map_or(0, |(dot, _)| dot + 1);
+        Some(&host[at..])
     }
 
-    /// The part of the hostname before the registerable suffix (without
-    /// the joining dot): `r1.lon` for `r1.lon.gtt.net`. Empty when the
-    /// hostname *is* the registerable suffix; `None` when there is no
-    /// registerable suffix at all.
+    /// Split an already-lowercased hostname into `(prefix, registerable
+    /// suffix)`, both borrowed from it and taken from one walk, for
+    /// callers that need both halves. The prefix excludes the joining
+    /// dot and is empty when the hostname *is* its registerable suffix.
+    ///
+    /// ```
+    /// let psl = hoiho_psl::PublicSuffixList::builtin();
+    /// assert_eq!(psl.split("r1.lon.gtt.net."), Some(("r1.lon", "gtt.net")));
+    /// assert_eq!(psl.split("gtt.net"), Some(("", "gtt.net")));
+    /// ```
+    pub fn split<'h>(&self, hostname: &'h str) -> Option<(&'h str, &'h str)> {
+        let suffix = self.registerable_suffix_of(hostname)?;
+        let host = hostname.trim_matches('.');
+        let prefix = &host[..host.len() - suffix.len()];
+        Some((prefix.strip_suffix('.').unwrap_or(prefix), suffix))
+    }
+
+    /// The prefix half of [`PublicSuffixList::split`]: `r1.lon` for
+    /// `r1.lon.gtt.net`.
     pub fn prefix_of<'h>(&self, hostname: &'h str) -> Option<&'h str> {
-        let suffix = self.registerable_suffix(hostname)?;
-        let host = hostname.trim_end_matches('.');
-        if host.len() == suffix.len() {
-            return Some("");
-        }
-        Some(&host[..host.len() - suffix.len() - 1])
+        self.split(hostname).map(|(prefix, _)| prefix)
     }
 }
 
@@ -288,10 +280,52 @@ mod tests {
         assert!(PublicSuffixList::builtin().len() > 50);
     }
 
+    /// The allocating walk that preceded the borrowed one (one joined
+    /// key per candidate suffix), kept as the reference the one walk
+    /// must agree with.
+    fn reference_suffix(psl: &PublicSuffixList, hostname: &str) -> Option<String> {
+        let lower = hostname.trim_end_matches('.').to_ascii_lowercase();
+        let labels: Vec<&str> = lower.split('.').filter(|l| !l.is_empty()).collect();
+        if labels.is_empty() {
+            return None;
+        }
+        let mut ps = 1;
+        for start in 0..labels.len() {
+            match psl.rules.get(&labels[start..].join(".")) {
+                Some(Rule::Normal) => ps = ps.max(labels.len() - start),
+                Some(Rule::Wildcard) if start > 0 => ps = ps.max(labels.len() - start + 1),
+                Some(Rule::Exception) => {
+                    ps = labels.len() - start - 1;
+                    break;
+                }
+                _ => {}
+            }
+        }
+        (labels.len() > ps).then(|| labels[labels.len() - ps - 1..].join("."))
+    }
+
+    fn assert_matches_reference(psl: &PublicSuffixList, host: &str) {
+        let want = reference_suffix(psl, host);
+        assert_eq!(psl.registerable_suffix(host), want, "{host}");
+        let lower = host.to_ascii_lowercase();
+        let split = psl.split(&lower);
+        assert_eq!(split.map(|(_, s)| s), want.as_deref(), "{host}");
+        // The prefix is the rest of the dot-trimmed hostname.
+        if let Some((prefix, suffix)) = split.filter(|(p, _)| !p.is_empty()) {
+            assert_eq!(
+                format!("{prefix}.{suffix}"),
+                lower.trim_matches('.'),
+                "{host}"
+            );
+        }
+    }
+
     #[test]
     fn borrowed_variant_matches_allocating_path() {
         let psl = PublicSuffixList::builtin();
         let ck = PublicSuffixList::parse("*.ck\n!www.ck\n");
+        let deep = PublicSuffixList::parse("com\n*.compute.amazonaws.com\n");
+        let long = "x.".repeat(40) + "gtt.net";
         for (l, host) in [
             (&psl, "foo.bar.example.com"),
             (&psl, "core1.syd.ccnw.net.au"),
@@ -301,16 +335,35 @@ mod tests {
             (&psl, "net.au"),
             (&psl, "gtt.net."),
             (&psl, ".leading.gtt.net"),
+            (&psl, "R1.LON.GTT.NET."),
+            (&psl, long.as_str()),
+            (&psl, ""),
+            (&psl, "..."),
             (&ck, "host.shop.example.ck"),
             (&ck, "host.www.ck"),
             (&ck, "www.ck"),
+            (&ck, "example.ck"),
+            (&deep, "a.b.eu-west-1.compute.amazonaws.com"),
+            (&deep, "eu-west-1.compute.amazonaws.com"),
+            (&deep, "a.b.amazonaws.com"),
         ] {
-            assert_eq!(
-                l.registerable_suffix_of(host),
-                l.registerable_suffix(host).as_deref(),
-                "{host}"
-            );
+            assert_matches_reference(l, host);
         }
+    }
+
+    #[test]
+    fn one_walk_matches_the_reference_on_a_generated_corpus() {
+        let psl = PublicSuffixList::builtin();
+        let db = hoiho_geodb::GeoDb::builtin();
+        let g = hoiho_itdk::generate(&db, &hoiho_itdk::spec::CorpusSpec::ipv4_aug2020(3_000));
+        let mut n = 0;
+        for (_, router) in g.corpus.iter() {
+            for host in router.hostnames() {
+                assert_matches_reference(&psl, host);
+                n += 1;
+            }
+        }
+        assert!(n > 1_000, "only {n} hostnames generated");
     }
 
     #[test]
@@ -318,18 +371,15 @@ mod tests {
         let psl = PublicSuffixList::builtin();
         // Uppercase: would produce a wrong-cased grouping key.
         assert_eq!(psl.registerable_suffix_of("R1.LON.GTT.NET"), None);
-        // Empty interior label: the suffix is not a contiguous tail.
+        // Empty interior label: not a hostname.
         assert_eq!(psl.registerable_suffix_of("a..b.gtt.net"), None);
         assert_eq!(psl.registerable_suffix_of(""), None);
         assert_eq!(psl.registerable_suffix_of("..."), None);
-        // Too many labels for the stack-allocated offsets.
-        let long = "x.".repeat(MAX_BORROWED_LABELS + 1) + "gtt.net";
-        assert_eq!(psl.registerable_suffix_of(&long), None);
-        // The allocating path still answers all of these.
-        assert_eq!(
-            psl.registerable_suffix("a..b.gtt.net"),
-            Some("gtt.net".to_string())
-        );
+        // Any number of labels is answered.
+        let long = "x.".repeat(33) + "gtt.net";
+        assert_eq!(psl.registerable_suffix_of(&long), Some("gtt.net"));
+        // The allocating path lowercases, and rejects what the walk does.
+        assert_eq!(psl.registerable_suffix("a..b.gtt.net"), None);
         assert_eq!(psl.registerable_suffix(&long), Some("gtt.net".to_string()));
     }
 

@@ -1,57 +1,36 @@
 //! The read-optimized lookup index and its epoch-swapped shared handle.
 //!
-//! A [`LookupIndex`] is an immutable snapshot of one artifact file:
-//! every suffix's compiled regexes and learned hints, grouped so a
-//! query routes to exactly one shard. Workers never lock it — they hold
-//! an `Arc` for the duration of one request. Hot reload builds a fresh
-//! index off to the side and swaps it into the [`SharedIndex`] with the
-//! epoch counter bumped; in-flight requests keep the `Arc` they already
-//! loaded, so a swap can never fail a request.
+//! A [`LookupIndex`] is an immutable snapshot of one artifact file: the
+//! parsed [`Geolocator`] (every suffix's compiled regexes and learned
+//! hints) together with the dictionary and suffix list. A query routes
+//! through [`Geolocator::route`], the same route `hoiho apply` takes,
+//! so both answer every hostname alike. Workers never lock the index —
+//! they hold an `Arc` for the duration of one request. Hot reload
+//! builds a fresh index off to the side and swaps it into the
+//! [`SharedIndex`] with the epoch counter bumped; in-flight requests
+//! keep the `Arc` they already loaded, so a swap can never fail a
+//! request.
 
-use hoiho::apply::{GeoInference, SuffixGeo};
+use hoiho::apply::GeoInference;
 use hoiho::artifact::{parse_artifacts, ArtifactError};
 use hoiho::Geolocator;
 use hoiho_geodb::GeoDb;
-use hoiho_obs::Histogram;
 use hoiho_psl::PublicSuffixList;
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
-use std::time::Instant;
 
-/// One suffix's slice of the index: the deployable artifacts plus a
-/// latency histogram registered as `serve.shard.<suffix>`.
-struct Shard {
-    geo: SuffixGeo,
-    latency: Arc<Histogram>,
-}
-
-/// An immutable, suffix-sharded snapshot of one artifact file together
-/// with the dictionary and suffix list needed to answer queries.
+/// An immutable snapshot of one artifact file together with the
+/// dictionary and suffix list needed to answer queries.
 pub struct LookupIndex {
     db: Arc<GeoDb>,
     psl: Arc<PublicSuffixList>,
-    shards: HashMap<String, Shard>,
+    geo: Geolocator,
 }
 
 impl LookupIndex {
     /// Build an index from a parsed [`Geolocator`].
     pub fn new(db: Arc<GeoDb>, psl: Arc<PublicSuffixList>, geo: Geolocator) -> LookupIndex {
-        let shards = geo
-            .iter()
-            .map(|s| {
-                let latency =
-                    hoiho_obs::global().histogram(&format!("serve.shard.{}", s.nc.suffix));
-                (
-                    s.nc.suffix.clone(),
-                    Shard {
-                        geo: s.clone(),
-                        latency,
-                    },
-                )
-            })
-            .collect();
-        LookupIndex { db, psl, shards }
+        LookupIndex { db, psl, geo }
     }
 
     /// Parse `text` as `hoiho-artifacts-v1` and build an index. A parse
@@ -68,12 +47,12 @@ impl LookupIndex {
 
     /// Number of suffix shards.
     pub fn len(&self) -> usize {
-        self.shards.len()
+        self.geo.len()
     }
 
     /// Whether the index has no shards.
     pub fn is_empty(&self) -> bool {
-        self.shards.is_empty()
+        self.geo.is_empty()
     }
 
     /// The dictionary queries decode against.
@@ -95,23 +74,16 @@ impl LookupIndex {
     /// hostname is lowercased into, so the routing step allocates
     /// nothing; each worker thread owns one scratch string.
     pub fn lookup(&self, hostname: &str, scratch: &mut String) -> Option<GeoInference> {
-        scratch.clear();
-        scratch.push_str(hostname.trim());
-        scratch.make_ascii_lowercase();
-        let suffix = self.psl.registerable_suffix_of(scratch)?;
-        let shard = self.shards.get(suffix)?;
-        let start = Instant::now();
-        let inference = shard.geo.geolocate(&self.db, scratch);
-        shard.latency.record(start.elapsed().as_micros() as u64);
-        inference
+        self.geo
+            .route(&self.psl, hostname, scratch)?
+            .geolocate(&self.db, scratch)
     }
 
     /// The suffix a hostname would route to, if the index has a shard
     /// for it (test and introspection support).
     pub fn route(&self, hostname: &str) -> Option<&str> {
-        let lower = hostname.to_ascii_lowercase();
-        let suffix = self.psl.registerable_suffix_of(&lower)?;
-        self.shards.get_key_value(suffix).map(|(k, _)| k.as_str())
+        let geo = self.geo.route(&self.psl, hostname, &mut String::new())?;
+        Some(&geo.nc.suffix)
     }
 }
 
@@ -197,6 +169,32 @@ mod tests {
         assert!(idx.lookup("ae1.lhr2.ntt.net", &mut scratch).is_none());
         assert!(idx.lookup("weird-shape.gtt.net", &mut scratch).is_none());
         assert!(idx.lookup("", &mut scratch).is_none());
+    }
+
+    #[test]
+    fn lookup_agrees_with_apply_on_every_input_shape() {
+        let db = GeoDb::builtin();
+        let psl = PublicSuffixList::builtin();
+        let text = artifacts(&["gtt.net"]);
+        let geo = parse_artifacts(&text, &db).expect("parse");
+        let idx = index(&["gtt.net"]);
+        let long = "x.".repeat(40) + "ae1.lhr2.gtt.net";
+        let mut scratch = String::new();
+        for (host, hits) in [
+            ("ae1.lhr2.gtt.net", true),
+            ("weird-shape.gtt.net", false),
+            ("ae1.lhr2.ntt.net", false),
+            ("AE1.LHR2.GTT.NET", true),
+            ("  ae1.lhr2.gtt.net", true),
+            ("ae1.lhr2.gtt.net ", true),
+            ("ae1.lhr2.gtt.net.", false),
+            (long.as_str(), true),
+            ("a..ae1.lhr2.gtt.net", false),
+        ] {
+            let applied = geo.geolocate(&db, &psl, host);
+            assert_eq!(applied, idx.lookup(host, &mut scratch), "{host:?}");
+            assert_eq!(applied.is_some(), hits, "{host:?}");
+        }
     }
 
     #[test]
