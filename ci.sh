@@ -87,7 +87,21 @@ if want smoke; then
         post() { ./target/release/serve_probe --addr "127.0.0.1:$PORT" --http "POST $1"; }
     fi
     ./target/release/hoiho generate --routers 1500 --seed 11 --out "$WORK/corpus.txt"
-    ./target/release/hoiho learn --corpus "$WORK/corpus.txt" --out "$WORK/artifacts.txt"
+    ./target/release/hoiho learn --corpus "$WORK/corpus.txt" --out "$WORK/artifacts.txt" \
+        --trace 2>"$WORK/learn.trace"
+    # A reported quantile never exceeds the largest sample.
+    awk '/ p50=.* max=/ {
+            for (i = 1; i <= NF; i++) { split($i, kv, "="); v[kv[1]] = kv[2] + 0 }
+            if (v["p50"] > v["max"] || v["p90"] > v["max"] || v["p99"] > v["max"]) {
+                print "hoiho learn --trace: quantile above max: " $0
+                bad = 1
+            }
+            n++
+        }
+        END {
+            if (!n) { print "hoiho learn --trace printed no timings"; bad = 1 }
+            exit bad
+        }' "$WORK/learn.trace"
     ./target/release/hoiho serve --artifacts "$WORK/artifacts.txt" \
         --addr 127.0.0.1:0 --threads 2 --port-file "$WORK/port" &
     SERVE_PID=$!
@@ -135,6 +149,19 @@ if want smoke; then
             exit 1
         }
     done
+    # Each _p50/_p90/_p99 gauge is at most its histogram's _max.
+    printf '%s\n' "$METRICS" | awk '
+        /^hoiho_.*_(p50|p90|p99)_us / { q[$1] = $2 + 0 }
+        /^hoiho_.*_max_us / { max[substr($1, 1, length($1) - 7)] = $2 + 0 }
+        END {
+            for (k in q) {
+                if (q[k] > max[substr(k, 1, length(k) - 7)]) {
+                    print "/metrics: " k " " q[k] " above max"
+                    bad = 1
+                }
+            }
+            exit bad
+        }'
     # Series are per layer, never per suffix.
     if printf '%s\n' "$METRICS" | grep -q '^hoiho_serve_shard_'; then
         echo "/metrics has per-suffix hoiho_serve_shard_ series"

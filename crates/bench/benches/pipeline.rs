@@ -6,6 +6,7 @@
 //! Offline build — no criterion; `hoiho_bench::run_bench` times each
 //! closure and prints median/mean per-iteration wall time.
 
+use hoiho::pipeline::MIN_TAGGED;
 use hoiho::train::build_training_sets;
 use hoiho::{Geolocator, Hoiho};
 use hoiho_bench::run_bench;
@@ -48,11 +49,11 @@ fn main() {
 
     let sets = build_training_sets(&db, &psl, &g.corpus, &ConsistencyPolicy::STRICT);
     // Sets are sorted by host count; the biggest *tagged* one is the
-    // first that clears `min_tagged` (an untagged set returns before any
+    // first that clears `MIN_TAGGED` (an untagged set returns before any
     // learning runs).
     let biggest = sets
         .iter()
-        .find(|s| s.tagged() >= hoiho.options().min_tagged)
+        .find(|s| s.tagged() >= MIN_TAGGED)
         .expect("a learnable suffix");
     run_bench("stage3to5_learn_biggest_suffix", 10, || {
         hoiho.learn_suffix(&g.corpus.vps, black_box(biggest))

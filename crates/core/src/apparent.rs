@@ -174,8 +174,9 @@ fn push_consistent(
     split_two: Option<&Token<'_>>,
     cands: Vec<hoiho_geodb::HintMatch>,
 ) {
-    use std::collections::HashMap;
-    let mut by_type: HashMap<GeohintType, Vec<LocationId>> = HashMap::new();
+    use std::collections::BTreeMap;
+    // Ordered by type, so tags sharing a span keep one order run to run.
+    let mut by_type: BTreeMap<GeohintType, Vec<LocationId>> = BTreeMap::new();
     for c in cands {
         if feas.feasible(db, vps, policy, key, rtts, c.location) {
             by_type.entry(c.hint_type).or_default().push(c.location);

@@ -205,12 +205,17 @@ fn render_hint_label(
 
 /// Phase 2: merge pairs that differ only by a `\d+` node into a `\d*`
 /// regex. Returns newly created regexes.
-pub fn merge_digit_optional(cands: &[GeoRegex]) -> Vec<GeoRegex> {
+pub fn merge_digit_optional<'a>(
+    cands: impl Iterator<Item = &'a GeoRegex> + Clone,
+) -> Vec<GeoRegex> {
     use std::collections::HashMap;
-    // Pattern text → candidate indices (plans must also agree).
-    let mut by_pattern: HashMap<String, Vec<usize>> = HashMap::new();
-    for (i, c) in cands.iter().enumerate() {
-        by_pattern.entry(c.regex.as_pattern()).or_default().push(i);
+    // Pattern text → candidate plans (plans must also agree).
+    let mut by_pattern: HashMap<String, Vec<&Plan>> = HashMap::new();
+    for c in cands.clone() {
+        by_pattern
+            .entry(c.regex.as_pattern())
+            .or_default()
+            .push(&c.plan);
     }
     let mut out = Vec::new();
     let mut emitted = std::collections::HashSet::new();
@@ -229,7 +234,7 @@ pub fn merge_digit_optional(cands: &[GeoRegex]) -> Vec<GeoRegex> {
             let Some(peers) = by_pattern.get(&without_pat) else {
                 continue;
             };
-            if !peers.iter().any(|&j| cands[j].plan == c.plan) {
+            if !peers.iter().any(|&plan| *plan == c.plan) {
                 continue;
             }
             // Merge: make the digits optional.
@@ -493,7 +498,7 @@ mod tests {
         let t2 = tagged(&db, &vps, p2, &[(0, 18.0)]);
         let mut cands = base_regexes_for_host(p1, &t1, "alter.net");
         cands.extend(base_regexes_for_host(p2, &t2, "alter.net"));
-        let merged = merge_digit_optional(&cands);
+        let merged = merge_digit_optional(cands.iter());
         assert!(
             merged.iter().any(|r| r.regex.as_pattern().contains(r"\d*")),
             "expected a \\d* merge among {:#?}",

@@ -6,12 +6,22 @@ use crate::eval::{eval_nc, eval_regex, EvalResult, Metrics, Outcome};
 use crate::evalctx::EvalContext;
 use crate::learned::{learn_hints, LearnPolicy, LearnedHints};
 use crate::rank::{classify_nc, select_nc, NcClass};
-use crate::train::{build_training_sets, training_sets_over, SuffixSet};
+use crate::train::{training_sets_over, SuffixSet};
 use hoiho_geodb::GeoDb;
 use hoiho_itdk::Corpus;
 use hoiho_psl::PublicSuffixList;
 use hoiho_rtt::{ConsistencyPolicy, RouterRtts, VpSet};
 use std::collections::{HashMap, HashSet};
+use std::sync::atomic::{AtomicUsize, Ordering};
+
+/// Cap on deduplicated phase-1 candidates per suffix.
+pub const MAX_CANDIDATES: usize = 300;
+
+/// How many top-ranked candidates phase 3 refines.
+pub const REFINE_TOP: usize = 40;
+
+/// Minimum tagged hostnames for a suffix to be worth learning.
+pub const MIN_TAGGED: usize = 3;
 
 /// Tunables of the learner.
 #[derive(Debug, Clone)]
@@ -22,12 +32,6 @@ pub struct HoihoOptions {
     pub learn: LearnPolicy,
     /// Stage-4 master switch (the §6.1 ablation sets this false).
     pub learn_custom_hints: bool,
-    /// Cap on deduplicated phase-1 candidates per suffix.
-    pub max_candidates: usize,
-    /// How many top-ranked candidates phase 3 refines.
-    pub refine_top: usize,
-    /// Minimum tagged hostnames for a suffix to be worth learning.
-    pub min_tagged: usize,
     /// Automatically detect and discard vantage points whose access
     /// routers spoof probe responses (§5.1.4: the paper discarded seven
     /// such VPs by hand and sketches this automation as future work).
@@ -43,9 +47,6 @@ impl Default for HoihoOptions {
             policy: ConsistencyPolicy::STRICT,
             learn: LearnPolicy::default(),
             learn_custom_hints: true,
-            max_candidates: 300,
-            refine_top: 40,
-            min_tagged: 3,
             filter_spoofed_vps: true,
             threads: 0,
         }
@@ -164,11 +165,6 @@ impl<'a> Hoiho<'a> {
         Hoiho { db, psl, opts }
     }
 
-    /// The options in force.
-    pub fn options(&self) -> &HoihoOptions {
-        &self.opts
-    }
-
     /// Run all five stages over a corpus.
     pub fn learn_corpus(&self, corpus: &Corpus) -> LearnReport {
         let _learn_span = hoiho_obs::span("learn");
@@ -177,19 +173,19 @@ impl<'a> Hoiho<'a> {
         // Learning reads only the ping RTTs, so when VPs are discarded
         // only those are rebuilt without them, never the whole corpus.
         let mut spoofed_vps = Vec::new();
-        let stripped: Option<Vec<RouterRtts>> = if self.opts.filter_spoofed_vps {
+        let mut stripped: Vec<RouterRtts> = Vec::new();
+        if self.opts.filter_spoofed_vps {
             let _span = hoiho_obs::span("learn.filter_vps");
             let refs: Vec<&RouterRtts> = corpus.routers.iter().map(|r| &r.rtts).collect();
             spoofed_vps =
                 hoiho_rtt::fault::detect_spoofing_vps_blind(&corpus.vps, &refs, 5.0, 5.0, 20);
-            (!spoofed_vps.is_empty()).then(|| {
-                refs.iter()
+            if !spoofed_vps.is_empty() {
+                stripped = refs
+                    .iter()
                     .map(|r| hoiho_rtt::fault::strip_vps(r, &spoofed_vps))
-                    .collect()
-            })
-        } else {
-            None
-        };
+                    .collect();
+            }
+        }
         if hoiho_obs::enabled() && !spoofed_vps.is_empty() {
             hoiho_obs::progress(format!(
                 "discarded {} spoofing vantage point(s)",
@@ -198,12 +194,14 @@ impl<'a> Hoiho<'a> {
         }
         let sets = {
             let _span = hoiho_obs::span("learn.train");
-            match &stripped {
-                Some(rtts) => {
-                    training_sets_over(self.db, self.psl, corpus, rtts, &self.opts.policy)
-                }
-                None => build_training_sets(self.db, self.psl, corpus, &self.opts.policy),
-            }
+            // Each router's samples: the stripped copy when VPs were
+            // discarded, the corpus's own otherwise.
+            let rtts = corpus
+                .routers
+                .iter()
+                .enumerate()
+                .map(|(i, r)| stripped.get(i).unwrap_or(&r.rtts));
+            training_sets_over(self.db, self.psl, corpus, rtts, &self.opts.policy)
         };
 
         let mut routers_with_apparent: HashSet<u32> = HashSet::new();
@@ -237,64 +235,48 @@ impl<'a> Hoiho<'a> {
         }
     }
 
-    /// Learn every suffix, fanning work across worker threads: suffixes
-    /// are independent, so results are identical to the sequential
-    /// order-preserving loop.
+    /// Learn every suffix. Suffixes are independent, so each worker
+    /// claims the next unlearned set until none is left; results come
+    /// back in set order whatever the thread count. One thread runs the
+    /// loop on the caller's thread, so its spans nest under `learn`.
     fn learn_all(&self, vps: &VpSet, sets: &[SuffixSet]) -> Vec<SuffixResult> {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        let threads = self.opts.resolved_threads().min(sets.len().max(1));
+        let threads = self.opts.resolved_threads().min(sets.len()).max(1);
+        let next = AtomicUsize::new(0);
         let done = AtomicUsize::new(0);
-        let report = |result: &SuffixResult, done: &AtomicUsize| {
-            if hoiho_obs::enabled() {
-                let n = done.fetch_add(1, Ordering::Relaxed) + 1;
-                hoiho_obs::progress(format!(
-                    "suffix {}/{}: {} ({} hosts, {} tagged, {:?})",
-                    n,
-                    sets.len(),
-                    result.suffix,
-                    result.hosts,
-                    result.tagged_hosts,
-                    result.class
-                ));
+        let work = || {
+            let mut local = Vec::new();
+            loop {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                let Some(set) = sets.get(i) else {
+                    return local;
+                };
+                let r = self.learn_suffix(vps, set);
+                if hoiho_obs::enabled() {
+                    let n = done.fetch_add(1, Ordering::Relaxed) + 1;
+                    hoiho_obs::progress(format!(
+                        "suffix {}/{}: {} ({} hosts, {} tagged, {:?})",
+                        n,
+                        sets.len(),
+                        r.suffix,
+                        r.hosts,
+                        r.tagged_hosts,
+                        r.class
+                    ));
+                }
+                local.push((i, r));
             }
         };
-        if threads <= 1 || sets.len() < 4 {
-            return sets
-                .iter()
-                .map(|s| {
-                    let r = self.learn_suffix(vps, s);
-                    report(&r, &done);
-                    r
-                })
-                .collect();
-        }
-        let next = AtomicUsize::new(0);
-        let mut indexed: Vec<(usize, SuffixResult)> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..threads)
-                .map(|_| {
-                    let next = &next;
-                    let done = &done;
-                    let report = &report;
-                    scope.spawn(move || {
-                        let mut local = Vec::new();
-                        loop {
-                            let i = next.fetch_add(1, Ordering::Relaxed);
-                            if i >= sets.len() {
-                                break;
-                            }
-                            let r = self.learn_suffix(vps, &sets[i]);
-                            report(&r, done);
-                            local.push((i, r));
-                        }
-                        local
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().expect("worker panicked"))
-                .collect()
-        });
+        let mut indexed: Vec<(usize, SuffixResult)> = if threads == 1 {
+            work()
+        } else {
+            std::thread::scope(|scope| {
+                let handles: Vec<_> = (0..threads).map(|_| scope.spawn(work)).collect();
+                handles
+                    .into_iter()
+                    .flat_map(|h| h.join().expect("worker panicked"))
+                    .collect()
+            })
+        };
         indexed.sort_by_key(|(i, _)| *i);
         indexed.into_iter().map(|(_, r)| r).collect()
     }
@@ -316,13 +298,14 @@ impl<'a> Hoiho<'a> {
             geolocated_routers: HashSet::new(),
             extrapolated_routers: HashSet::new(),
         };
-        if tagged < self.opts.min_tagged {
+        if tagged < MIN_TAGGED {
             return empty(NcClass::Poor);
         }
         let _suffix_span = hoiho_obs::span_detail("learn.suffix", set.suffix.clone());
         // One evaluation context for the whole suffix: every candidate
         // below shares its decode and feasibility memos.
         let ctx = EvalContext::new(self.db, vps, &self.opts.policy, &set.suffix, hosts);
+        let mut pool = Pool::default();
 
         // Phase 1: base regexes, deduplicated, most-generated first.
         let phase1 = hoiho_obs::span("learn.suffix.phase1");
@@ -335,81 +318,57 @@ impl<'a> Hoiho<'a> {
                 counts.entry(r.regex.as_pattern()).or_insert((r, 0)).1 += 1;
             }
         }
-        let mut cands: Vec<(GeoRegex, usize)> = counts.into_values().collect();
+        let mut base: Vec<(String, GeoRegex, usize)> =
+            counts.into_iter().map(|(p, (r, n))| (p, r, n)).collect();
         if hoiho_obs::enabled() {
             hoiho_obs::counter!("learn.candidates_generated")
-                .add(cands.iter().map(|(_, c)| *c as u64).sum());
-            hoiho_obs::counter!("learn.candidates_deduped").add(cands.len() as u64);
+                .add(base.iter().map(|(_, _, n)| *n as u64).sum());
+            hoiho_obs::counter!("learn.candidates_deduped").add(base.len() as u64);
         }
         // Tie-break by pattern text so results do not depend on hash
         // iteration order.
-        cands.sort_by(|a, b| {
-            b.1.cmp(&a.1)
-                .then_with(|| a.0.regex.as_pattern().cmp(&b.0.regex.as_pattern()))
-        });
-        cands.truncate(self.opts.max_candidates);
-
-        // Evaluate singles.
-        let mut evals: Vec<(GeoRegex, EvalResult)> = Vec::new();
-        let mut seen: HashSet<String> = HashSet::new();
-        for (r, _) in &cands {
-            let e = eval_regex(&ctx, r, None);
-            if e.metrics.tp > 0 {
-                seen.insert(r.regex.as_pattern());
-                evals.push((r.clone(), e));
-            }
+        base.sort_by(|a, b| b.2.cmp(&a.2).then_with(|| a.0.cmp(&b.0)));
+        base.truncate(MAX_CANDIDATES);
+        for (pattern, regex, _) in base {
+            pool.offer(&ctx, pattern, regex);
         }
         drop(phase1);
-        if evals.is_empty() {
+        if pool.kept.is_empty() {
             return empty(NcClass::Poor);
         }
 
-        // Phase 2: digit-optional merges.
+        // Phase 2: digit-optional merges of the kept singles.
         let phase2 = hoiho_obs::span("learn.suffix.phase2");
-        let singles: Vec<GeoRegex> = evals.iter().map(|(r, _)| r.clone()).collect();
-        for m in merge_digit_optional(&singles) {
-            if seen.insert(m.regex.as_pattern()) {
-                let e = eval_regex(&ctx, &m, None);
-                if e.metrics.tp > 0 {
-                    evals.push((m, e));
-                }
-            }
+        for m in merge_digit_optional(pool.kept.iter().map(|c| &c.regex)) {
+            pool.offer(&ctx, m.regex.as_pattern(), m);
         }
         drop(phase2);
-
-        evals.sort_by(|a, b| {
-            b.1.metrics
-                .atp()
-                .cmp(&a.1.metrics.atp())
-                .then_with(|| a.0.regex.as_pattern().cmp(&b.0.regex.as_pattern()))
-        });
+        pool.rank();
 
         // Phase 3: refine the leaders.
         let phase3 = hoiho_obs::span("learn.suffix.phase3");
-        let mut refined = Vec::new();
-        for (r, _) in evals.iter().take(self.opts.refine_top) {
-            if let Some(n) = embed_character_classes(hosts, r) {
-                if seen.insert(n.regex.as_pattern()) {
-                    let e = eval_regex(&ctx, &n, None);
-                    if e.metrics.tp > 0 {
-                        refined.push((n, e));
-                    }
-                }
-            }
+        let before = pool.kept.len();
+        let refined: Vec<GeoRegex> = pool
+            .kept
+            .iter()
+            .take(REFINE_TOP)
+            .filter_map(|c| embed_character_classes(hosts, &c.regex))
+            .collect();
+        for n in refined {
+            pool.offer(&ctx, n.regex.as_pattern(), n);
         }
-        hoiho_obs::add("learn.candidates_refined", refined.len() as u64);
-        evals.extend(refined);
+        hoiho_obs::add(
+            "learn.candidates_refined",
+            (pool.kept.len() - before) as u64,
+        );
         drop(phase3);
-        evals.sort_by(|a, b| {
-            b.1.metrics
-                .atp()
-                .cmp(&a.1.metrics.atp())
-                .then_with(|| a.0.regex.as_pattern().cmp(&b.0.regex.as_pattern()))
-        });
+        pool.rank();
 
         // Phase 4 + stage 5.
         let phase4 = hoiho_obs::span("learn.suffix.phase4");
-        let ncs = crate::sets::build_sets(&ctx, &evals);
+        let ranked: Vec<(GeoRegex, EvalResult)> =
+            pool.kept.into_iter().map(|c| (c.regex, c.eval)).collect();
+        let ncs = crate::sets::build_sets(&ctx, &ranked);
         let selected = select_nc(ncs);
         drop(phase4);
         let Some((nc, mut eval)) = selected else {
@@ -456,6 +415,52 @@ impl<'a> Hoiho<'a> {
             geolocated_routers,
             extrapolated_routers,
         }
+    }
+}
+
+/// A regex kept by the stage-3 pool, with its pattern text rendered
+/// once, when it was offered.
+struct Candidate {
+    pattern: String,
+    regex: GeoRegex,
+    eval: EvalResult,
+}
+
+/// Stage 3's candidate pool (§5.3 phases 1–3): each distinct pattern is
+/// evaluated once, when first offered, and kept when it has a TP.
+#[derive(Default)]
+struct Pool {
+    offered: HashSet<String>,
+    kept: Vec<Candidate>,
+}
+
+impl Pool {
+    /// Offer `regex`, whose pattern text is `pattern`; a pattern
+    /// offered before is skipped.
+    fn offer(&mut self, ctx: &EvalContext<'_>, pattern: String, regex: GeoRegex) {
+        if !self.offered.insert(pattern.clone()) {
+            return;
+        }
+        let eval = eval_regex(ctx, &regex, None);
+        if eval.metrics.tp > 0 {
+            self.kept.push(Candidate {
+                pattern,
+                regex,
+                eval,
+            });
+        }
+    }
+
+    /// The one rank order: ATP descending, then pattern text ascending
+    /// (a total order, since kept patterns are distinct).
+    fn rank(&mut self) {
+        self.kept.sort_unstable_by(|a, b| {
+            b.eval
+                .metrics
+                .atp()
+                .cmp(&a.eval.metrics.atp())
+                .then_with(|| a.pattern.cmp(&b.pattern))
+        });
     }
 }
 

@@ -18,15 +18,15 @@ pub const MAX_COMBINE: usize = 24;
 pub const MIN_UNIQUE_PER_REGEX: usize = 3;
 
 /// Build candidate NCs from ranked single regexes. `ranked` must be
-/// sorted by descending ATP. Returns all singles plus improved
-/// combinations, each with its evaluation.
+/// sorted by descending ATP and hold each pattern once. Returns all
+/// singles plus improved combinations, each with its evaluation.
 pub fn build_sets(
     ctx: &EvalContext<'_>,
     ranked: &[(GeoRegex, EvalResult)],
 ) -> Vec<(NamingConvention, EvalResult)> {
+    let ranked = &ranked[..ranked.len().min(MAX_COMBINE)];
     let mut out: Vec<(NamingConvention, EvalResult)> = ranked
         .iter()
-        .take(MAX_COMBINE)
         .map(|(r, e)| {
             (
                 NamingConvention {
@@ -41,19 +41,16 @@ pub fn build_sets(
         return out;
     }
 
-    // Greedy expansion from the top-ranked regex.
+    // Greedy expansion from the top-ranked regex. Members are tracked by
+    // their index in `ranked`, which is unique per pattern.
     let start_ppv = out[0].1.metrics.ppv();
     let mut current = out[0].clone();
+    let mut members = vec![0];
     let mut grew = true;
     while grew {
         grew = false;
-        for (cand, _) in ranked.iter().take(MAX_COMBINE) {
-            if current
-                .0
-                .regexes
-                .iter()
-                .any(|r| r.regex.as_pattern() == cand.regex.as_pattern())
-            {
+        for (i, (cand, _)) in ranked.iter().enumerate() {
+            if members.contains(&i) {
                 continue;
             }
             let mut nc = current.0.clone();
@@ -69,6 +66,7 @@ pub fn build_sets(
                 continue;
             }
             current = (nc, eval);
+            members.push(i);
             out.push(current.clone());
             grew = true;
             break;

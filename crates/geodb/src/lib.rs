@@ -30,7 +30,7 @@ pub mod synth;
 pub use abbrev::{is_abbreviation, AbbrevOptions};
 pub use builder::GeoDbBuilder;
 
-use hoiho_geotypes::{CountryCode, GeohintType, Location, LocationId};
+use hoiho_geotypes::{GeohintType, Location, LocationId};
 use std::collections::{HashMap, HashSet};
 
 /// One dictionary hit: a token interpreted as a geohint of some type.
@@ -215,16 +215,6 @@ impl GeoDb {
             .get(&city)
             .map(Vec::as_slice)
             .unwrap_or(&[])
-    }
-
-    /// All city ids in a country (diagnostics and tests).
-    pub fn cities_in_country(&self, cc: CountryCode) -> Vec<LocationId> {
-        self.iter()
-            .filter(|(_, l)| {
-                l.kind == hoiho_geotypes::LocationKind::City && l.country == cc.canonical()
-            })
-            .map(|(id, _)| id)
-            .collect()
     }
 
     fn push_all(

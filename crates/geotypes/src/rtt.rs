@@ -83,11 +83,6 @@ pub fn best_case_rtt_ms(a: &Coordinates, b: &Coordinates) -> f64 {
     2.0 * a.distance_km(b) / C_FIBER_KM_PER_MS
 }
 
-/// Theoretical best-case RTT between two points as an [`Rtt`].
-pub fn best_case_rtt(a: &Coordinates, b: &Coordinates) -> Rtt {
-    Rtt::from_ms(best_case_rtt_ms(a, b))
-}
-
 /// The maximum great-circle distance (km) a target can be from a vantage
 /// point given a measured RTT: the constraint radius used by CBG-style
 /// multilateration and by the paper's feasibility figures (e.g. fig. 5's

@@ -9,7 +9,7 @@
 //! - A **native** single-file format (`corpus-v1`) that round-trips
 //!   everything including RTT samples and generator ground truth.
 
-use crate::{Corpus, HostnameTruth, Interface, Router, RouterId};
+use crate::{Corpus, HostnameTruth, Interface, Router};
 use hoiho_geotypes::{Coordinates, LocationId, Rtt};
 use hoiho_rtt::{RouterRtts, VpId, VpSet};
 use std::fmt::Write as _;
@@ -353,11 +353,6 @@ pub fn read_corpus<R: BufRead>(reader: R) -> Result<Corpus, CorpusParseError> {
             .sum(),
     );
     Ok(corpus)
-}
-
-/// Convenience: the router ids in a corpus (used by format tests).
-pub fn router_ids(corpus: &Corpus) -> Vec<RouterId> {
-    (0..corpus.len() as u32).map(RouterId).collect()
 }
 
 #[cfg(test)]

@@ -73,11 +73,6 @@ impl Counter {
     pub fn get(&self) -> u64 {
         self.value.load(Ordering::Relaxed)
     }
-
-    /// Reset to zero (test/benchmark support).
-    pub fn reset(&self) {
-        self.value.store(0, Ordering::Relaxed);
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -90,8 +85,9 @@ impl Counter {
 /// implicit overflow bucket catches everything above the last bound.
 /// Recording is lock-free (one atomic add per sample); quantile readout
 /// walks the bucket array and returns the upper bound of the bucket in
-/// which the requested rank falls, i.e. a conservative (never
-/// under-reported) estimate.
+/// which the requested rank falls, capped at the largest sample, i.e. a
+/// conservative (never under-reported) estimate that never exceeds the
+/// max.
 #[derive(Debug)]
 pub struct Histogram {
     bounds: Vec<u64>,
@@ -165,26 +161,24 @@ impl Histogram {
     }
 
     /// The quantile `q` in `[0, 1]`: the upper bound of the bucket
-    /// containing the rank-`ceil(q*count)` sample, or [`Histogram::max`]
-    /// when the rank lands in the overflow bucket. Returns 0 when empty.
+    /// containing the rank-`ceil(q*count)` sample, clamped to
+    /// [`Histogram::max`] (a bucket's bound can exceed every sample in
+    /// it, and the overflow bucket has none). Returns 0 when empty.
     pub fn quantile(&self, q: f64) -> u64 {
         let total = self.count();
         if total == 0 {
             return 0;
         }
         let rank = ((q.clamp(0.0, 1.0) * total as f64).ceil() as u64).max(1);
+        let max = self.max();
         let mut seen = 0u64;
-        for (i, bucket) in self.buckets.iter().enumerate() {
+        for (&bound, bucket) in self.bounds.iter().zip(&self.buckets) {
             seen += bucket.load(Ordering::Relaxed);
             if seen >= rank {
-                return if i < self.bounds.len() {
-                    self.bounds[i]
-                } else {
-                    self.max()
-                };
+                return bound.min(max);
             }
         }
-        self.max()
+        max
     }
 
     /// Bucket `(upper_bound, count)` pairs; the final entry uses
@@ -238,15 +232,6 @@ pub trait Sink: Send + Sync {
     fn finish(&self, snapshot: &Snapshot) {
         let _ = snapshot;
     }
-}
-
-/// Discards everything. The default sink; exists so "no observability"
-/// and "observability to /dev/null" are the same code path.
-#[derive(Debug, Default)]
-pub struct NullSink;
-
-impl Sink for NullSink {
-    fn event(&self, _event: &Event) {}
 }
 
 /// Human-readable live progress on stderr: prints [`Event::Progress`]
@@ -531,7 +516,12 @@ impl Snapshot {
             return out;
         }
         out.push_str("-- span tree --\n");
-        for agg in &self.spans {
+        // Order by path segment, not by raw text: `.` sorts before `/`,
+        // so `learn.suffix` would otherwise fall between `learn` and
+        // `learn/learn.train`, and the child would print under it.
+        let mut spans: Vec<&SpanAggregate> = self.spans.iter().collect();
+        spans.sort_by(|a, b| a.path.split('/').cmp(b.path.split('/')));
+        for agg in spans {
             let depth = agg.path.matches('/').count();
             let leaf = agg.path.rsplit('/').next().unwrap_or(&agg.path);
             let indent = "  ".repeat(depth + 1);
@@ -598,12 +588,6 @@ impl Registry {
     pub fn add_sink(&self, sink: Arc<dyn Sink>) {
         self.sinks.lock().expect("sinks poisoned").push(sink);
         self.set_enabled(true);
-    }
-
-    /// Drop all sinks and disable (test/benchmark support).
-    pub fn clear_sinks(&self) {
-        self.sinks.lock().expect("sinks poisoned").clear();
-        self.set_enabled(false);
     }
 
     /// The counter registered under `name`, creating it on first use.
@@ -758,13 +742,6 @@ impl Registry {
         }
         snap
     }
-
-    /// Reset counters, histograms, and recorded spans (sinks stay).
-    pub fn reset(&self) {
-        self.counters.lock().expect("counters poisoned").clear();
-        self.histograms.lock().expect("histograms poisoned").clear();
-        self.spans.lock().expect("spans poisoned").clear();
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -849,8 +826,36 @@ mod tests {
         }
         assert_eq!(h.count(), 5);
         assert_eq!(h.quantile(0.5), 10); // 3rd of 5 samples ≤ 10
-        assert_eq!(h.quantile(0.9), 1000); // 5th sample is 200 → bucket ≤1000
+        assert_eq!(h.quantile(0.9), 200); // 5th sample is 200: bucket ≤1000, clamped to max
         assert_eq!(h.max(), 200);
+    }
+
+    #[test]
+    fn quantiles_never_exceed_max() {
+        // xorshift64: sample sets from one value to hundreds, spanning
+        // every bucket and the overflow bucket.
+        let mut x = 0x2545_f491_4f6c_dd1du64;
+        let mut next = || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        for n in 1..300 {
+            let h = Histogram::exponential();
+            for _ in 0..n {
+                let v = next();
+                h.record(v >> (v % 64));
+            }
+            for q in [0.5, 0.9, 0.99] {
+                assert!(
+                    h.quantile(q) <= h.max(),
+                    "n={n} q={q}: {} > max {}",
+                    h.quantile(q),
+                    h.max()
+                );
+            }
+        }
     }
 
     #[test]
@@ -887,5 +892,42 @@ mod tests {
         let snap = r.snapshot();
         let paths: Vec<&str> = snap.spans.iter().map(|s| s.path.as_str()).collect();
         assert_eq!(paths, vec!["outer", "outer/inner"]);
+    }
+
+    #[test]
+    fn span_tree_prints_each_child_under_its_parent() {
+        // In the order `Snapshot.spans` holds them: by raw path text.
+        let paths = [
+            "learn",
+            "learn.suffix",
+            "learn.suffix/learn.suffix.phase1",
+            "learn/learn.train",
+        ];
+        let snap = Snapshot {
+            spans: paths
+                .into_iter()
+                .map(|path| SpanAggregate {
+                    path: path.into(),
+                    count: 1,
+                    total_us: 1,
+                })
+                .collect(),
+            ..Snapshot::default()
+        };
+        let tree = snap.render_span_tree();
+        let lines: Vec<&str> = tree
+            .lines()
+            .skip(1)
+            .map(|l| l.split("  n=").next().unwrap())
+            .collect();
+        assert_eq!(
+            lines,
+            vec![
+                "  learn",
+                "    learn.train",
+                "  learn.suffix",
+                "    learn.suffix.phase1"
+            ]
+        );
     }
 }

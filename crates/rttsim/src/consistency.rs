@@ -90,22 +90,6 @@ pub fn rtt_consistent(
     ok
 }
 
-/// The subset of `candidates` that survive the feasibility test.
-pub fn filter_consistent<'a, I>(
-    vps: &VpSet,
-    samples: &RouterRtts,
-    candidates: I,
-    policy: &ConsistencyPolicy,
-) -> Vec<&'a Coordinates>
-where
-    I: IntoIterator<Item = &'a Coordinates>,
-{
-    candidates
-        .into_iter()
-        .filter(|c| rtt_consistent(vps, samples, c, policy))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -193,16 +177,5 @@ mod tests {
             &london,
             &ConsistencyPolicy::CONTINENT
         ));
-    }
-
-    #[test]
-    fn filter_keeps_only_feasible() {
-        let (vps, ashburn, london) = world();
-        let mut s = RouterRtts::new();
-        s.record(crate::VpId(0), Rtt::from_ms(3.0));
-        let cands = [ashburn, london];
-        let kept = filter_consistent(&vps, &s, cands.iter(), &ConsistencyPolicy::STRICT);
-        assert_eq!(kept.len(), 1);
-        assert_eq!(kept[0], &ashburn);
     }
 }

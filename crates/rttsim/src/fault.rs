@@ -9,7 +9,7 @@
 
 use crate::rng::Rng;
 use crate::{RouterRtts, VpId, VpSet};
-use hoiho_geotypes::{Coordinates, Rtt};
+use hoiho_geotypes::Rtt;
 
 /// Replace the samples of `spoofed_vps` in a measurement with constant
 /// near-zero RTTs, as a spoofing middlebox would.
@@ -35,45 +35,7 @@ impl RouterRtts {
     }
 }
 
-/// Detect spoofing VPs across a measurement campaign: a VP is flagged
-/// when, over many targets spanning very different distances, its RTT
-/// spread stays within `max_spread_ms`. Honest VPs see a wide spread
-/// because targets range from local to intercontinental.
-pub fn detect_spoofing_vps(
-    vps: &VpSet,
-    campaigns: &[(Coordinates, RouterRtts)],
-    max_spread_ms: f64,
-    min_targets: usize,
-) -> Vec<VpId> {
-    let mut flagged = Vec::new();
-    for (vp_id, _) in vps.iter() {
-        let mut min = f64::INFINITY;
-        let mut max: f64 = 0.0;
-        let mut n = 0usize;
-        let mut dist_min = f64::INFINITY;
-        let mut dist_max: f64 = 0.0;
-        for (router, samples) in campaigns {
-            if let Ok(i) = samples.samples().binary_search_by_key(&vp_id, |(v, _)| *v) {
-                let rtt = samples.samples()[i].1.as_ms();
-                min = min.min(rtt);
-                max = max.max(rtt);
-                n += 1;
-                let d = vps.get(vp_id).coords.distance_km(router);
-                dist_min = dist_min.min(d);
-                dist_max = dist_max.max(d);
-            }
-        }
-        // Only meaningful when this VP measured targets at genuinely
-        // different distances.
-        if n >= min_targets && dist_max - dist_min > 2_000.0 && max - min <= max_spread_ms {
-            flagged.push(vp_id);
-        }
-    }
-    flagged
-}
-
-/// Detect spoofing VPs *without* ground-truth target locations — the
-/// production-usable variant of [`detect_spoofing_vps`]. A spoofing
+/// Detect spoofing VPs without ground-truth target locations. A spoofing
 /// middlebox answers every probe locally, so the VP's RTT distribution
 /// across many targets is implausibly tight and implausibly small; an
 /// honest VP probing Internet-spread targets sees a wide spread.
@@ -163,6 +125,7 @@ mod tests {
     use super::*;
     use crate::rng::StdRng;
     use crate::RttModel;
+    use hoiho_geotypes::Coordinates;
 
     fn world() -> VpSet {
         let mut vps = VpSet::new();
@@ -183,25 +146,6 @@ mod tests {
     }
 
     #[test]
-    fn spoofed_vp_detected_honest_vps_not() {
-        let vps = world();
-        let model = RttModel {
-            per_vp_response_rate: 1.0,
-            ..Default::default()
-        };
-        let mut rng = StdRng::seed_from_u64(77);
-        let spoofed = vec![VpId(1)];
-        let mut campaigns = Vec::new();
-        for t in targets() {
-            let mut s = model.probe_from_all(&vps, &t, &mut rng);
-            inject_spoofing(&mut s, &spoofed, &mut rng);
-            campaigns.push((t, s));
-        }
-        let flagged = detect_spoofing_vps(&vps, &campaigns, 5.0, 3);
-        assert_eq!(flagged, vec![VpId(1)]);
-    }
-
-    #[test]
     fn injection_overwrites_with_small_rtts() {
         let mut rng = StdRng::seed_from_u64(1);
         let mut s = RouterRtts::new();
@@ -209,13 +153,6 @@ mod tests {
         inject_spoofing(&mut s, &[VpId(0)], &mut rng);
         let rtt = s.samples()[0].1.as_ms();
         assert!((1.0..=2.0).contains(&rtt), "got {rtt}");
-    }
-
-    #[test]
-    fn detection_requires_enough_targets() {
-        let vps = world();
-        let campaigns = vec![];
-        assert!(detect_spoofing_vps(&vps, &campaigns, 5.0, 3).is_empty());
     }
 
     #[test]
