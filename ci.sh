@@ -115,7 +115,7 @@ if want smoke; then
         sleep 0.05
     done
     PORT=$(cat "$WORK/port")
-    HOST=$(awk '$1 == "iface" { print $3; exit }' "$WORK/corpus.txt")
+    HOST=$(awk '$1 == "iface" && NF >= 3 { print $3; exit }' "$WORK/corpus.txt")
     fetch "/lookup?h=$HOST" >"$WORK/lookup.http"
     grep -q "\"host\":\"$HOST\"" "$WORK/lookup.http"
     # Both protocols answer from one request core: the line reply is the
@@ -124,6 +124,23 @@ if want smoke; then
         --line "{\"lookup\":\"$HOST\"}" >"$WORK/lookup.line"
     cmp "$WORK/lookup.http" "$WORK/lookup.line" || {
         echo "line and HTTP lookups of $HOST differ"
+        exit 1
+    }
+    # A batch answers with the single lookups' objects, in order. The
+    # second name is sent with its first character as a \u escape, so the
+    # batch takes both request paths: a name borrowed from the line and
+    # one decoded into its own string.
+    HOST2=$(awk '$1 == "iface" && NF >= 3 && ++n == 2 { print $3; exit }' "$WORK/corpus.txt")
+    REST2=${HOST2#?}
+    ESC2=$(printf '\\u%04x%s' "'${HOST2%"$REST2"}" "$REST2")
+    ./target/release/serve_probe --addr "127.0.0.1:$PORT" \
+        --line "{\"lookup\":\"$HOST2\"}" >"$WORK/lookup2.line"
+    ./target/release/serve_probe --addr "127.0.0.1:$PORT" \
+        --line "{\"batch\":[\"$HOST\",\"$ESC2\"]}" >"$WORK/batch.line"
+    printf '{"results":[%s,%s]}\n' "$(cat "$WORK/lookup.line")" \
+        "$(cat "$WORK/lookup2.line")" >"$WORK/batch.want"
+    cmp "$WORK/batch.want" "$WORK/batch.line" || {
+        echo "batch [$HOST, $ESC2] differs from its single lookups"
         exit 1
     }
     # `hoiho apply` takes the same route: its location column is the

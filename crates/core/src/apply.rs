@@ -6,14 +6,15 @@
 //! access to measurement infrastructure.
 
 use crate::convention::NamingConvention;
-use crate::eval::decode;
 use crate::learned::LearnedHints;
 use crate::pipeline::LearnReport;
 use crate::rank::NcClass;
 use hoiho_geodb::GeoDb;
 use hoiho_geotypes::{Coordinates, GeohintType, LocationId};
 use hoiho_psl::PublicSuffixList;
+use std::cmp::Reverse;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// One suffix's deployable artifacts.
 #[derive(Debug, Clone)]
@@ -39,45 +40,46 @@ impl SuffixGeo {
         if obs {
             hoiho_obs::counter!("apply.matched").inc();
         }
-        let learned_hint = self.learned.get(&e.hint, e.ty).is_some();
-        let mut locs = decode(db, Some(&self.learned), &e);
-        if locs.is_empty() {
-            return None;
-        }
-        // Country/state tokens narrow ambiguous hints.
-        if !e.cc_tokens.is_empty() {
-            let narrowed: Vec<LocationId> = locs
+        // The suffix-specific learned dictionary decodes first, then the
+        // reference dictionary, whose list is read in place.
+        let learned = self.learned.get(&e.hint, e.ty);
+        let locs = match &learned {
+            Some(loc) => std::slice::from_ref(loc),
+            None => db.locations_of(&e.hint, e.ty),
+        };
+        // Country/state tokens narrow ambiguous hints, unless no
+        // candidate matches them all.
+        let described = |id: &LocationId| {
+            e.cc_tokens
                 .iter()
-                .copied()
-                .filter(|id| {
-                    e.cc_tokens
-                        .iter()
-                        .all(|t| db.location(*id).matches_cc_or_state(t))
-                })
-                .collect();
-            if !narrowed.is_empty() {
-                locs = narrowed;
-            }
-        }
-        locs.sort_by(|a, b| {
-            db.has_facility(*b)
-                .cmp(&db.has_facility(*a))
-                .then_with(|| db.location(*b).population.cmp(&db.location(*a).population))
-        });
-        let location = locs[0];
+                .all(|t| db.location(*id).matches_cc_or_state(t))
+        };
+        let narrow = !e.cc_tokens.is_empty() && locs.iter().any(described);
+        // Facility first, then population; `min_by_key` keeps the first
+        // of equal candidates, so ties go to decode order.
+        let location = locs
+            .iter()
+            .copied()
+            .filter(|id| !narrow || described(id))
+            .min_by_key(|&id| {
+                (
+                    Reverse(db.has_facility(id)),
+                    Reverse(db.location(id).population),
+                )
+            })?;
         if obs {
             hoiho_obs::counter!("apply.resolved").inc();
-            if learned_hint {
+            if learned.is_some() {
                 hoiho_obs::counter!("apply.resolved_learned_hint").inc();
             }
         }
         Some(GeoInference {
             location,
             coords: db.location(location).coords,
-            hint: e.hint,
+            hint: e.hint.into_owned(),
             ty: e.ty,
-            learned_hint,
-            suffix: self.nc.suffix.clone(),
+            learned_hint: learned.is_some(),
+            suffix: Arc::clone(&self.nc.suffix),
         })
     }
 }
@@ -95,8 +97,8 @@ pub struct GeoInference {
     pub ty: GeohintType,
     /// Whether the hint was a suffix-specific learned geohint.
     pub learned_hint: bool,
-    /// The suffix whose NC produced the inference.
-    pub suffix: String,
+    /// The suffix whose NC produced the inference, shared with the NC.
+    pub suffix: Arc<str>,
 }
 
 /// Applies learned conventions to hostnames.
@@ -128,7 +130,7 @@ impl Geolocator {
 
     /// Register one suffix's artifacts.
     pub fn insert(&mut self, geo: SuffixGeo) {
-        self.map.insert(geo.nc.suffix.clone(), geo);
+        self.map.insert(geo.nc.suffix.to_string(), geo);
     }
 
     /// Number of suffixes covered.
@@ -272,6 +274,58 @@ mod tests {
         assert!(g
             .geolocate(&db, &psl, "weird-shape.he.example.net")
             .is_none());
+    }
+
+    /// Candidates rank facility first, then population; equal ones go to
+    /// the first in decode order, and country/state tokens narrow them
+    /// only when some candidate matches.
+    #[test]
+    fn disambiguation_keeps_decode_order_on_ties() {
+        use hoiho_geodb::GeoDbBuilder;
+        use hoiho_geotypes::Coordinates;
+        let mut b = GeoDbBuilder::new();
+        let il = b.add_city(
+            "Springfield",
+            "us",
+            "il",
+            Coordinates::new(39.8, -89.6),
+            100,
+        );
+        let ma = b.add_city(
+            "Springfield",
+            "us",
+            "ma",
+            Coordinates::new(42.1, -72.6),
+            100,
+        );
+        let mo = b.add_city("Springfield", "us", "mo", Coordinates::new(37.2, -93.3), 50);
+        let db = b.build();
+        assert_eq!(
+            db.locations_of("springfield", GeohintType::CityName),
+            [il, ma, mo]
+        );
+        let geo = SuffixGeo {
+            nc: NamingConvention {
+                suffix: "example.net".into(),
+                regexes: vec![GeoRegex {
+                    regex: Regex::parse(r"^[^\.]+\.([a-z]+)\d*\.([a-z]{2})\.example\.net$")
+                        .unwrap(),
+                    plan: Plan {
+                        roles: vec![
+                            CaptureRole::Hint(GeohintType::CityName),
+                            CaptureRole::CcOrState,
+                        ],
+                    },
+                }],
+            },
+            learned: LearnedHints::new(),
+            class: NcClass::Good,
+        };
+        let at = |host: &str| geo.geolocate(&db, host).map(|i| i.location);
+        assert_eq!(at("cr1.springfield1.us.example.net"), Some(il));
+        assert_eq!(at("cr1.springfield1.ma.example.net"), Some(ma));
+        assert_eq!(at("cr1.springfield1.mo.example.net"), Some(mo));
+        assert_eq!(at("cr1.springfield1.de.example.net"), Some(il));
     }
 
     #[test]

@@ -171,7 +171,7 @@ pub fn parse_artifacts(text: &str, db: &GeoDb) -> Result<Geolocator, ArtifactErr
                 }
                 current = Some((
                     NamingConvention {
-                        suffix: sfx.to_string(),
+                        suffix: sfx.into(),
                         regexes: Vec::new(),
                     },
                     Vec::new(),

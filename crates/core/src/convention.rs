@@ -7,7 +7,9 @@
 
 use hoiho_geotypes::GeohintType;
 use hoiho_regex::Regex;
+use std::borrow::Cow;
 use std::fmt;
+use std::sync::Arc;
 
 /// The meaning of one capture group.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -73,15 +75,17 @@ impl Plan {
     }
 }
 
-/// What one regex pulled out of a hostname.
+/// What one regex pulled out of a hostname. The hint and the
+/// country/state tokens borrow their capture spans from the hostname;
+/// a split CLLI, whose halves are joined, is the one owned hint.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Extraction {
+pub struct Extraction<'h> {
     /// The geohint string (split CLLI halves joined).
-    pub hint: String,
+    pub hint: Cow<'h, str>,
     /// The dictionary to decode with.
     pub ty: GeohintType,
     /// Extracted country/state tokens, in order.
-    pub cc_tokens: Vec<String>,
+    pub cc_tokens: Vec<&'h str>,
 }
 
 /// A regex with its plan.
@@ -96,33 +100,34 @@ pub struct GeoRegex {
 impl GeoRegex {
     /// Run against a hostname (the full name; patterns embed the
     /// suffix). Returns the extraction on match.
-    pub fn extract(&self, hostname: &str) -> Option<Extraction> {
+    pub fn extract<'h>(&self, hostname: &'h str) -> Option<Extraction<'h>> {
         let caps = self.regex.captures(hostname).ok()??;
-        let mut hint = String::new();
-        let mut four = String::new();
-        let mut two = String::new();
+        let mut hint = "";
+        let mut four = "";
+        let mut two = "";
         let mut ty = None;
         let mut cc_tokens = Vec::new();
         for (i, role) in self.plan.roles.iter().enumerate() {
             let text = caps.get(i + 1)?;
             match role {
                 CaptureRole::Hint(t) => {
-                    hint = text.to_string();
+                    hint = text;
                     ty = Some(*t);
                 }
                 CaptureRole::ClliFour => {
-                    four = text.to_string();
+                    four = text;
                     ty = Some(GeohintType::Clli);
                 }
-                CaptureRole::ClliTwo => two = text.to_string(),
-                CaptureRole::CcOrState => cc_tokens.push(text.to_string()),
+                CaptureRole::ClliTwo => two = text,
+                CaptureRole::CcOrState => cc_tokens.push(text),
             }
         }
-        if !four.is_empty() {
-            hint = format!("{four}{two}");
-        }
         Some(Extraction {
-            hint,
+            hint: if !four.is_empty() {
+                Cow::Owned([four, two].concat())
+            } else {
+                Cow::Borrowed(hint)
+            },
             ty: ty?,
             cc_tokens,
         })
@@ -139,15 +144,16 @@ impl fmt::Display for GeoRegex {
 /// first matching regex provides the extraction.
 #[derive(Debug, Clone, PartialEq)]
 pub struct NamingConvention {
-    /// The suffix this NC belongs to (e.g. `ntt.net`).
-    pub suffix: String,
+    /// The suffix this NC belongs to (e.g. `ntt.net`), shared with every
+    /// inference the NC answers.
+    pub suffix: Arc<str>,
     /// The regexes, in priority order.
     pub regexes: Vec<GeoRegex>,
 }
 
 impl NamingConvention {
     /// Apply the NC to a hostname: first matching regex wins.
-    pub fn extract(&self, hostname: &str) -> Option<Extraction> {
+    pub fn extract<'h>(&self, hostname: &'h str) -> Option<Extraction<'h>> {
         self.regexes.iter().find_map(|r| r.extract(hostname))
     }
 }

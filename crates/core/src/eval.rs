@@ -21,7 +21,6 @@ use crate::convention::{Extraction, GeoRegex, NamingConvention};
 use crate::evalctx::{EvalContext, HintId};
 use crate::learned::LearnedHints;
 use crate::train::TrainHost;
-use hoiho_geodb::GeoDb;
 use hoiho_geotypes::LocationId;
 use std::collections::HashSet;
 
@@ -88,31 +87,15 @@ impl Metrics {
     }
 }
 
-/// Evaluation of one NC (or single regex) over a suffix's hosts.
+/// Evaluation of one NC (or single regex) over a suffix's hosts. The
+/// extractions borrow the hosts' hostnames.
 #[derive(Debug, Clone)]
-pub struct EvalResult {
+pub struct EvalResult<'h> {
     /// Aggregate counts.
     pub metrics: Metrics,
     /// Per-host extraction and outcome, index-aligned with the host
     /// list, plus the index of the NC regex that matched.
-    pub per_host: Vec<(Option<Extraction>, Outcome, Option<usize>)>,
-}
-
-/// Decode a hint string through the suffix-specific learned dictionary
-/// first, then the reference dictionary. This is the uncached entry
-/// point used when applying published artifacts; the learn path decodes
-/// through [`EvalContext`] instead.
-pub fn decode(
-    db: &GeoDb,
-    learned: Option<&LearnedHints>,
-    extraction: &Extraction,
-) -> Vec<LocationId> {
-    if let Some(l) = learned {
-        if let Some(loc) = l.get(&extraction.hint, extraction.ty) {
-            return vec![loc];
-        }
-    }
-    db.lookup_typed(&extraction.hint, extraction.ty)
+    pub per_host: Vec<(Option<Extraction<'h>>, Outcome, Option<usize>)>,
 }
 
 /// Classify one host's extraction, decoding and testing feasibility
@@ -190,11 +173,11 @@ fn classify_decoded(
 /// matching regex provides the extraction. This is the shared engine
 /// behind [`eval_nc`] and [`eval_regex`] — no suffix or regex cloning
 /// per candidate.
-fn eval_regexes(
-    ctx: &EvalContext<'_>,
+fn eval_regexes<'a>(
+    ctx: &EvalContext<'a>,
     regexes: &[GeoRegex],
     learned: Option<&LearnedHints>,
-) -> EvalResult {
+) -> EvalResult<'a> {
     let mut metrics = Metrics::default();
     let mut per_host = Vec::with_capacity(ctx.hosts.len());
     for host in ctx.hosts {
@@ -233,20 +216,20 @@ fn eval_regexes(
 }
 
 /// Evaluate a full NC against the context's hosts.
-pub fn eval_nc(
-    ctx: &EvalContext<'_>,
+pub fn eval_nc<'a>(
+    ctx: &EvalContext<'a>,
     nc: &NamingConvention,
     learned: Option<&LearnedHints>,
-) -> EvalResult {
+) -> EvalResult<'a> {
     eval_regexes(ctx, &nc.regexes, learned)
 }
 
 /// Evaluate a single regex, borrowed — no throwaway one-regex NC.
-pub fn eval_regex(
-    ctx: &EvalContext<'_>,
+pub fn eval_regex<'a>(
+    ctx: &EvalContext<'a>,
     regex: &GeoRegex,
     learned: Option<&LearnedHints>,
-) -> EvalResult {
+) -> EvalResult<'a> {
     eval_regexes(ctx, std::slice::from_ref(regex), learned)
 }
 
@@ -255,6 +238,7 @@ mod tests {
     use super::*;
     use crate::apparent::Tag;
     use crate::convention::{CaptureRole, Plan};
+    use hoiho_geodb::GeoDb;
     use hoiho_geotypes::{Coordinates, GeohintType, Rtt};
     use hoiho_regex::Regex;
     use hoiho_rtt::{ConsistencyPolicy, RouterRtts, VpId, VpSet};

@@ -36,7 +36,8 @@ pub struct LearnedHint {
 /// A suffix-specific dictionary of learned hints.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct LearnedHints {
-    map: HashMap<(String, GeohintType), LocationId>,
+    /// type → token → meaning, so a lookup borrows the token.
+    map: HashMap<GeohintType, HashMap<String, LocationId>>,
     /// Full evidence records.
     pub hints: Vec<LearnedHint>,
 }
@@ -49,7 +50,7 @@ impl LearnedHints {
 
     /// Look up a learned meaning.
     pub fn get(&self, token: &str, ty: GeohintType) -> Option<LocationId> {
-        self.map.get(&(token.to_string(), ty)).copied()
+        self.map.get(&ty)?.get(token).copied()
     }
 
     /// Number of learned hints.
@@ -64,7 +65,9 @@ impl LearnedHints {
 
     fn insert(&mut self, hint: LearnedHint) {
         self.map
-            .insert((hint.token.clone(), hint.ty), hint.location);
+            .entry(hint.ty)
+            .or_default()
+            .insert(hint.token.clone(), hint.location);
         self.hints.push(hint);
     }
 
@@ -130,11 +133,11 @@ pub fn learn_hints(
     let db = ctx.db;
 
     // Group FP/UNK extractions by token.
-    struct Group {
+    struct Group<'h> {
         ty: GeohintType,
         host_idx: Vec<usize>,
         extracts_cc: bool,
-        cc_tokens: Vec<Vec<String>>,
+        cc_tokens: Vec<&'h [&'h str]>,
     }
     let mut groups: HashMap<String, Group> = HashMap::new();
     for (i, (ext, outcome, which)) in eval.per_host.iter().enumerate() {
@@ -146,7 +149,7 @@ pub fn learn_hints(
             .and_then(|w| nc.regexes.get(w))
             .map(|r| r.plan.extracts_cc())
             .unwrap_or(false);
-        let g = groups.entry(e.hint.clone()).or_insert(Group {
+        let g = groups.entry(e.hint.to_string()).or_insert(Group {
             ty: e.ty,
             host_idx: Vec::new(),
             extracts_cc,
@@ -154,7 +157,7 @@ pub fn learn_hints(
         });
         g.host_idx.push(i);
         if !e.cc_tokens.is_empty() {
-            g.cc_tokens.push(e.cc_tokens.clone());
+            g.cc_tokens.push(&e.cc_tokens);
         }
     }
 

@@ -420,24 +420,24 @@ impl<'a> Hoiho<'a> {
 
 /// A regex kept by the stage-3 pool, with its pattern text rendered
 /// once, when it was offered.
-struct Candidate {
+struct Candidate<'h> {
     pattern: String,
     regex: GeoRegex,
-    eval: EvalResult,
+    eval: EvalResult<'h>,
 }
 
 /// Stage 3's candidate pool (§5.3 phases 1–3): each distinct pattern is
 /// evaluated once, when first offered, and kept when it has a TP.
 #[derive(Default)]
-struct Pool {
+struct Pool<'h> {
     offered: HashSet<String>,
-    kept: Vec<Candidate>,
+    kept: Vec<Candidate<'h>>,
 }
 
-impl Pool {
+impl<'h> Pool<'h> {
     /// Offer `regex`, whose pattern text is `pattern`; a pattern
     /// offered before is skipped.
-    fn offer(&mut self, ctx: &EvalContext<'_>, pattern: String, regex: GeoRegex) {
+    fn offer(&mut self, ctx: &EvalContext<'h>, pattern: String, regex: GeoRegex) {
         if !self.offered.insert(pattern.clone()) {
             return;
         }

@@ -113,7 +113,7 @@ mod tests {
         }
     }
 
-    fn eval_with(m: Metrics) -> EvalResult {
+    fn eval_with(m: Metrics) -> EvalResult<'static> {
         EvalResult {
             metrics: m,
             per_host: vec![],

@@ -20,17 +20,17 @@ pub const MIN_UNIQUE_PER_REGEX: usize = 3;
 /// Build candidate NCs from ranked single regexes. `ranked` must be
 /// sorted by descending ATP and hold each pattern once. Returns all
 /// singles plus improved combinations, each with its evaluation.
-pub fn build_sets(
-    ctx: &EvalContext<'_>,
-    ranked: &[(GeoRegex, EvalResult)],
-) -> Vec<(NamingConvention, EvalResult)> {
+pub fn build_sets<'a>(
+    ctx: &EvalContext<'a>,
+    ranked: &[(GeoRegex, EvalResult<'a>)],
+) -> Vec<(NamingConvention, EvalResult<'a>)> {
     let ranked = &ranked[..ranked.len().min(MAX_COMBINE)];
     let mut out: Vec<(NamingConvention, EvalResult)> = ranked
         .iter()
         .map(|(r, e)| {
             (
                 NamingConvention {
-                    suffix: ctx.suffix.to_string(),
+                    suffix: ctx.suffix.into(),
                     regexes: vec![r.clone()],
                 },
                 e.clone(),
@@ -80,7 +80,7 @@ fn members_have_unique_hints(nc: &NamingConvention, eval: &EvalResult) -> bool {
     let mut uniq: Vec<HashSet<&str>> = vec![HashSet::new(); nc.regexes.len()];
     for (ext, outcome, which) in &eval.per_host {
         if let (Some(e), Outcome::Tp, Some(w)) = (ext, outcome, which) {
-            uniq[*w].insert(e.hint.as_str());
+            uniq[*w].insert(&e.hint);
         }
     }
     uniq.iter().all(|u| u.len() >= MIN_UNIQUE_PER_REGEX)

@@ -10,6 +10,7 @@ use crate::data;
 use crate::GeoDb;
 use hoiho_geotypes::{Coordinates, CountryCode, Location, LocationId, LocationKind, StateCode};
 use std::collections::HashMap;
+use std::sync::OnceLock;
 
 /// Incremental builder for [`GeoDb`].
 #[derive(Debug, Default)]
@@ -278,7 +279,8 @@ impl GeoDbBuilder {
     }
 
     /// Finish and return the dictionary.
-    pub fn build(self) -> GeoDb {
+    pub fn build(mut self) -> GeoDb {
+        self.db.rendered = self.db.locations.iter().map(|_| OnceLock::new()).collect();
         self.db
     }
 

@@ -32,6 +32,7 @@ pub use builder::GeoDbBuilder;
 
 use hoiho_geotypes::{GeohintType, Location, LocationId};
 use std::collections::{HashMap, HashSet};
+use std::sync::OnceLock;
 
 /// One dictionary hit: a token interpreted as a geohint of some type.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -58,6 +59,9 @@ pub struct GeoDb {
     /// City → facility street tokens located there (used by corpus
     /// generators to emit facility-style hostnames).
     pub(crate) facility_by_city: HashMap<LocationId, Vec<(String, LocationId)>>,
+    /// One lazily rendered text per location (see [`GeoDb::rendered`]),
+    /// index-aligned with `locations` once built.
+    pub(crate) rendered: Vec<OnceLock<Box<str>>>,
 }
 
 impl GeoDb {
@@ -139,7 +143,13 @@ impl GeoDb {
     /// Exact-type lookup (used by decoders once a regex's plan names the
     /// dictionary).
     pub fn lookup_typed(&self, token: &str, ty: GeohintType) -> Vec<LocationId> {
-        let t = token.to_ascii_lowercase();
+        self.locations_of(&token.to_ascii_lowercase(), ty).to_vec()
+    }
+
+    /// The dictionary's own decode list for an already-lowercase
+    /// `token` of type `ty`, borrowed: the allocation-free form of
+    /// [`GeoDb::lookup_typed`] for hostnames normalised upstream.
+    pub fn locations_of(&self, token: &str, ty: GeohintType) -> &[LocationId] {
         let map = match ty {
             GeohintType::Iata => &self.iata,
             GeohintType::Icao => &self.icao,
@@ -148,7 +158,16 @@ impl GeoDb {
             GeohintType::CityName => &self.city,
             GeohintType::Facility => &self.facility_token,
         };
-        map.get(&t).cloned().unwrap_or_default()
+        map.get(token).map_or(&[], Vec::as_slice)
+    }
+
+    /// `render(location)` for `id`, computed on the first call and kept
+    /// for the life of the dictionary, so a hot path formats each
+    /// location once. The dictionary holds one rendering per location:
+    /// every caller must pass the same renderer (the serve protocol's
+    /// JSON location members are the one user).
+    pub fn rendered(&self, id: LocationId, render: impl FnOnce(&Location) -> String) -> &str {
+        self.rendered[id.0 as usize].get_or_init(|| render(self.location(id)).into_boxed_str())
     }
 
     /// Whether the city hosts a known colocation facility (stage-4

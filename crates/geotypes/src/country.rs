@@ -54,11 +54,10 @@ impl CountryCode {
     /// True if `token` (from a hostname) refers to this country, accepting
     /// the `uk` alias for `gb` (and vice versa) that the paper handles.
     pub fn matches_token(&self, token: &str) -> bool {
-        let t = token.to_ascii_lowercase();
-        if t == self.as_str() {
-            return true;
-        }
-        matches!((self.as_str(), t.as_str()), ("gb", "uk") | ("uk", "gb"))
+        let cc = self.as_str();
+        token.eq_ignore_ascii_case(cc)
+            || (cc == "gb" && token.eq_ignore_ascii_case("uk"))
+            || (cc == "uk" && token.eq_ignore_ascii_case("gb"))
     }
 
     /// Canonicalise `uk` to `gb` so dictionary keys are unique.

@@ -21,6 +21,11 @@
 //! A differential test suite (in the crate's `tests/`) checks agreement with
 //! the `regex` crate on the emitted dialect.
 //!
+//! A [`Regex`] is compiled once, when it is parsed or built from an AST:
+//! the AST is flattened into a linear program that every later match
+//! runs, and capture slots for up to four groups live on the stack, so
+//! matching a learned pattern allocates nothing.
+//!
 //! Matching is backtracking with a step budget: hostnames are short
 //! (≤ 253 bytes), so the budget is never hit by learned patterns, but it
 //! turns pathological inputs into a clean [`MatchError::BudgetExhausted`]
@@ -52,6 +57,8 @@ pub struct Regex {
     anchored_start: bool,
     /// Whether the pattern ended with `$`.
     anchored_end: bool,
+    /// The flattened program every match runs, built with the regex.
+    prog: exec::Program,
 }
 
 impl Regex {
@@ -63,10 +70,15 @@ impl Regex {
     /// Build from an already-constructed AST; generated regexes are always
     /// fully anchored, matching the paper's output.
     pub fn from_ast(ast: Ast) -> Regex {
+        Regex::compile(ast, true, true)
+    }
+
+    pub(crate) fn compile(ast: Ast, anchored_start: bool, anchored_end: bool) -> Regex {
         Regex {
+            prog: exec::Program::compile(&ast),
             ast,
-            anchored_start: true,
-            anchored_end: true,
+            anchored_start,
+            anchored_end,
         }
     }
 
@@ -88,7 +100,7 @@ impl Regex {
     /// Run the matcher and return capture spans, or `None` on no match.
     pub fn captures<'t>(&self, text: &'t str) -> Result<Option<Captures<'t>>, MatchError> {
         exec::find(
-            &self.ast,
+            &self.prog,
             text,
             self.anchored_start,
             self.anchored_end,

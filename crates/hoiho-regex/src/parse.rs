@@ -42,6 +42,14 @@ struct Parser<'a> {
     pos: usize,
 }
 
+/// One parsed atom: a literal character is kept apart from the AST so
+/// that runs of them fuse into one [`Ast::Literal`] without a string
+/// per character.
+enum Atom {
+    Char(u8),
+    Ast(Ast),
+}
+
 impl<'a> Parser<'a> {
     fn err<T>(&self, msg: impl Into<String>) -> Result<T, ParseError> {
         Err(ParseError {
@@ -90,18 +98,20 @@ impl<'a> Parser<'a> {
                 _ => {}
             }
             let atom = self.atom()?;
-            let atom = self.apply_quant(atom)?;
-            // Fuse adjacent literals for a compact AST.
-            if let (Some(Ast::Literal(prev)), Ast::Literal(cur)) = (items.last_mut(), &atom) {
-                prev.push_str(cur);
-            } else {
-                items.push(atom);
+            match self.apply_quant(atom)? {
+                // Fuse adjacent literals for a compact AST.
+                Atom::Char(c) => match items.last_mut() {
+                    Some(Ast::Literal(prev)) => prev.push(c as char),
+                    _ => items.push(Ast::Literal((c as char).to_string())),
+                },
+                Atom::Ast(ast) => items.push(ast),
             }
         }
         Ok(items)
     }
 
-    fn atom(&mut self) -> Result<Ast, ParseError> {
+    fn atom(&mut self) -> Result<Atom, ParseError> {
+        let class = |c| Ok(Atom::Ast(Ast::Class(c, Quant::exactly(1))));
         match self.bump() {
             None => self.err("unexpected end of pattern"),
             Some(b'(') => {
@@ -109,28 +119,28 @@ impl<'a> Parser<'a> {
                 if !self.eat(b')') {
                     return self.err("expected ')'");
                 }
-                Ok(Ast::Capture(Box::new(Ast::seq(inner))))
+                Ok(Atom::Ast(Ast::Capture(Box::new(Ast::seq(inner)))))
             }
-            Some(b'[') => self.class(),
-            Some(b'.') => Ok(Ast::Class(CharClass::Any, Quant::exactly(1))),
+            Some(b'[') => class(self.class()?),
+            Some(b'.') => class(CharClass::Any),
             Some(b'\\') => match self.bump() {
-                Some(b'd') => Ok(Ast::Class(CharClass::Digit, Quant::exactly(1))),
+                Some(b'd') => class(CharClass::Digit),
                 Some(
                     c @ (b'.' | b'\\' | b'+' | b'*' | b'?' | b'(' | b')' | b'[' | b']' | b'{'
                     | b'}' | b'^' | b'$' | b'|' | b'-'),
-                ) => Ok(Ast::Literal((c as char).to_string())),
+                ) => Ok(Atom::Char(c)),
                 Some(c) => self.err(format!("unsupported escape '\\{}'", c as char)),
                 None => self.err("dangling escape"),
             },
             Some(c @ (b'+' | b'*' | b'?' | b'{' | b'}' | b']' | b'|' | b'^' | b'$')) => {
                 self.err(format!("unexpected metacharacter '{}'", c as char))
             }
-            Some(c) => Ok(Ast::Literal((c as char).to_string())),
+            Some(c) => Ok(Atom::Char(c)),
         }
     }
 
     /// Parse a `[...]` class body (the `[` is already consumed).
-    fn class(&mut self) -> Result<Ast, ParseError> {
+    fn class(&mut self) -> Result<CharClass, ParseError> {
         let start = self.pos - 1;
         let negated = self.eat(b'^');
         let mut set = AsciiSet::EMPTY;
@@ -181,14 +191,11 @@ impl<'a> Parser<'a> {
                 }
             }
         }
-        let src_text = std::str::from_utf8(&self.src[start..self.pos])
-            .expect("pattern is str")
-            .to_string();
-        let class = canonical_class(negated, &set, &src_text);
-        Ok(Ast::Class(class, Quant::exactly(1)))
+        let src_text = std::str::from_utf8(&self.src[start..self.pos]).expect("pattern is str");
+        Ok(canonical_class(negated, &set, src_text))
     }
 
-    fn apply_quant(&mut self, atom: Ast) -> Result<Ast, ParseError> {
+    fn apply_quant(&mut self, atom: Atom) -> Result<Atom, ParseError> {
         let q = match self.peek() {
             Some(b'+') => {
                 self.bump();
@@ -235,63 +242,14 @@ impl<'a> Parser<'a> {
             _ => return Ok(atom),
         };
         match atom {
-            Ast::Class(c, old) if old == Quant::exactly(1) => Ok(Ast::Class(c, q)),
-            Ast::Literal(s) if s.chars().count() == 1 => {
-                // A quantified single literal char: model as a custom class.
-                let ch = s.as_bytes()[0];
-                let mut set = AsciiSet::EMPTY;
-                set.insert(ch);
-                let mut src = String::new();
-                if matches!(
-                    ch,
-                    b'.' | b'\\'
-                        | b'+'
-                        | b'*'
-                        | b'?'
-                        | b'('
-                        | b')'
-                        | b'['
-                        | b']'
-                        | b'{'
-                        | b'}'
-                        | b'^'
-                        | b'$'
-                        | b'|'
-                ) {
-                    src.push('\\');
-                }
-                src.push(ch as char);
-                Ok(Ast::Class(CharClass::Custom(set, src), q))
+            // A quantified literal char: model as a custom class.
+            Atom::Char(c) => Ok(Atom::Ast(requantify_char(c, q))),
+            Atom::Ast(Ast::Class(c, old)) if old == Quant::exactly(1) => {
+                Ok(Atom::Ast(Ast::Class(c, q)))
             }
-            Ast::Literal(s) => {
-                // Quantifier binds to the last char of a fused literal.
-                let mut chars: Vec<char> = s.chars().collect();
-                let last = chars.pop().expect("nonempty literal");
-                let prefix: String = chars.into_iter().collect();
-                let quantified = self.requantify_char(last, q);
-                if prefix.is_empty() {
-                    Ok(quantified)
-                } else {
-                    Ok(Ast::seq(vec![Ast::Literal(prefix), quantified]))
-                }
-            }
-            Ast::Capture(_) | Ast::Seq(_) => self.err("quantified groups are not supported"),
-            Ast::Class(..) => self.err("double quantifier"),
+            Atom::Ast(Ast::Class(..)) => self.err("double quantifier"),
+            Atom::Ast(_) => self.err("quantified groups are not supported"),
         }
-    }
-
-    fn requantify_char(&self, ch: char, q: Quant) -> Ast {
-        let mut set = AsciiSet::EMPTY;
-        set.insert(ch as u8);
-        let mut src = String::new();
-        if matches!(
-            ch,
-            '.' | '\\' | '+' | '*' | '?' | '(' | ')' | '[' | ']' | '{' | '}' | '^' | '$' | '|'
-        ) {
-            src.push('\\');
-        }
-        src.push(ch);
-        Ast::Class(CharClass::Custom(set, src), q)
     }
 
     fn number(&mut self) -> Result<u32, ParseError> {
@@ -310,6 +268,34 @@ impl<'a> Parser<'a> {
                 msg: "number too large".into(),
             })
     }
+}
+
+/// A single character under a quantifier, as a one-member class spelled
+/// like the literal.
+fn requantify_char(ch: u8, q: Quant) -> Ast {
+    let mut set = AsciiSet::EMPTY;
+    set.insert(ch);
+    let mut src = String::new();
+    if matches!(
+        ch,
+        b'.' | b'\\'
+            | b'+'
+            | b'*'
+            | b'?'
+            | b'('
+            | b')'
+            | b'['
+            | b']'
+            | b'{'
+            | b'}'
+            | b'^'
+            | b'$'
+            | b'|'
+    ) {
+        src.push('\\');
+    }
+    src.push(ch as char);
+    Ast::Class(CharClass::Custom(set, src), q)
 }
 
 /// Map a parsed class to the canonical named variant when its member set
@@ -350,11 +336,11 @@ pub fn parse(pattern: &str) -> Result<crate::Regex, ParseError> {
     if p.pos != p.src.len() {
         return p.err("trailing input after '$'");
     }
-    Ok(crate::Regex {
-        ast: Ast::seq(items),
+    Ok(crate::Regex::compile(
+        Ast::seq(items),
         anchored_start,
         anchored_end,
-    })
+    ))
 }
 
 #[cfg(test)]

@@ -164,7 +164,7 @@ mod tests {
         let mut scratch = String::new();
         let hit = idx.lookup("ae1.LHR2.gtt.net", &mut scratch).expect("hit");
         assert_eq!(idx.db().location(hit.location).name, "London");
-        assert_eq!(hit.suffix, "gtt.net");
+        assert_eq!(&*hit.suffix, "gtt.net");
         // Unknown suffix and non-matching shape both miss cleanly.
         assert!(idx.lookup("ae1.lhr2.ntt.net", &mut scratch).is_none());
         assert!(idx.lookup("weird-shape.gtt.net", &mut scratch).is_none());

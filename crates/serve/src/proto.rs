@@ -27,6 +27,8 @@
 
 use hoiho::apply::GeoInference;
 use hoiho_geodb::GeoDb;
+use hoiho_geotypes::Location;
+use std::borrow::Cow;
 use std::fmt::Write as _;
 
 /// The static load-shedding payload, written by the accept thread when
@@ -40,13 +42,14 @@ Connection: close\r\n\
 \r\n\
 {\"error\":\"overloaded\"}\n";
 
-/// One parsed line-protocol request.
+/// One parsed line-protocol request. Hostnames borrow from the request
+/// line; only a string with escapes is decoded into an owned copy.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Request {
+pub enum Request<'a> {
     /// Geolocate one hostname.
-    Lookup(String),
+    Lookup(Cow<'a, str>),
     /// Geolocate a batch, answering with one `results` array.
-    Batch(Vec<String>),
+    Batch(Hosts<'a>),
     /// Begin a graceful drain.
     Shutdown,
     /// Liveness probe.
@@ -55,15 +58,92 @@ pub enum Request {
     Malformed(String),
 }
 
+/// The hostnames of a batch request, validated at parse time and read
+/// in place on each [`Hosts::iter`], so a batch holds no list of its own.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Hosts<'a> {
+    source: Source<'a>,
+    len: usize,
+}
+
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Source<'a> {
+    /// A JSON array's text after its `[`, already checked by the parser.
+    Json(&'a str),
+    /// Newline-separated names (the HTTP batch body); blank lines skip.
+    Lines(&'a str),
+}
+
+impl<'a> Hosts<'a> {
+    /// The non-blank, trimmed lines of `body`.
+    pub(crate) fn lines(body: &'a str) -> Hosts<'a> {
+        let source = Source::Lines(body);
+        let len = HostIter::new(source).count();
+        Hosts { source, len }
+    }
+
+    /// Number of hostnames.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Whether the batch is empty.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The hostnames in request order.
+    pub fn iter(&self) -> impl Iterator<Item = Cow<'a, str>> {
+        HostIter::new(self.source)
+    }
+}
+
+enum HostIter<'a> {
+    Json(Json<'a>),
+    Lines(std::str::Lines<'a>),
+}
+
+impl<'a> HostIter<'a> {
+    fn new(source: Source<'a>) -> HostIter<'a> {
+        match source {
+            Source::Json(rest) => HostIter::Json(Json::new(rest)),
+            Source::Lines(body) => HostIter::Lines(body.lines()),
+        }
+    }
+}
+
+impl<'a> Iterator for HostIter<'a> {
+    type Item = Cow<'a, str>;
+
+    fn next(&mut self) -> Option<Cow<'a, str>> {
+        match self {
+            HostIter::Json(p) => {
+                if p.peek() == Some(b']') {
+                    return None;
+                }
+                let host = p.string().ok()?;
+                if p.peek() == Some(b',') {
+                    p.pos += 1;
+                }
+                Some(host)
+            }
+            HostIter::Lines(lines) => lines
+                .map(str::trim)
+                .find(|l| !l.is_empty())
+                .map(Cow::Borrowed),
+        }
+    }
+}
+
 /// Parse one request line. A line not starting with `{` is a bare
 /// hostname lookup (the `printf | nc` path).
-pub fn parse_request(line: &str) -> Request {
+pub fn parse_request(line: &str) -> Request<'_> {
     let line = line.trim();
     if line.is_empty() {
         return Request::Malformed("empty request".to_string());
     }
     if !line.starts_with('{') {
-        return Request::Lookup(line.to_string());
+        return Request::Lookup(Cow::Borrowed(line));
     }
     match parse_json_request(line) {
         Ok(r) => r,
@@ -71,15 +151,15 @@ pub fn parse_request(line: &str) -> Request {
     }
 }
 
-fn parse_json_request(line: &str) -> Result<Request, String> {
+fn parse_json_request(line: &str) -> Result<Request<'_>, String> {
     let mut p = Json::new(line);
     p.expect('{')?;
     let key = p.string()?;
     p.expect(':')?;
-    let req = match key.as_str() {
+    let req = match &*key {
         "lookup" => Request::Lookup(p.string()?),
         "batch" => Request::Batch(p.string_array()?),
-        "cmd" => match p.string()?.as_str() {
+        "cmd" => match &*p.string()? {
             "shutdown" => Request::Shutdown,
             "ping" => Request::Ping,
             other => return Err(format!("unknown cmd '{other}'")),
@@ -94,14 +174,16 @@ fn parse_json_request(line: &str) -> Result<Request, String> {
 /// A minimal JSON reader covering exactly the request grammar: one
 /// object, string values, arrays of strings.
 struct Json<'a> {
+    src: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
 
 impl<'a> Json<'a> {
-    fn new(s: &'a str) -> Json<'a> {
+    fn new(src: &'a str) -> Json<'a> {
         Json {
-            bytes: s.as_bytes(),
+            src,
+            bytes: src.as_bytes(),
             pos: 0,
         }
     }
@@ -137,9 +219,21 @@ impl<'a> Json<'a> {
         }
     }
 
-    fn string(&mut self) -> Result<String, String> {
+    /// One string value: borrowed from the source when it holds no
+    /// escape, decoded into an owned copy when it does.
+    fn string(&mut self) -> Result<Cow<'a, str>, String> {
         self.expect('"')?;
-        let mut out = String::new();
+        let start = self.pos;
+        let plain = self.bytes[start..]
+            .iter()
+            .position(|&b| b == b'"' || b == b'\\')
+            .ok_or_else(|| "unterminated string".to_string())?;
+        self.pos += plain;
+        if self.bytes[self.pos] == b'"' {
+            self.pos += 1;
+            return Ok(Cow::Borrowed(&self.src[start..self.pos - 1]));
+        }
+        let mut out = self.src[start..self.pos].to_string();
         loop {
             let b = *self
                 .bytes
@@ -147,7 +241,7 @@ impl<'a> Json<'a> {
                 .ok_or_else(|| "unterminated string".to_string())?;
             self.pos += 1;
             match b {
-                b'"' => return Ok(out),
+                b'"' => return Ok(Cow::Owned(out)),
                 b'\\' => {
                     let e = *self
                         .bytes
@@ -165,8 +259,7 @@ impl<'a> Json<'a> {
                             let hex = self
                                 .bytes
                                 .get(self.pos..self.pos + 4)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .and_then(|h| u32::from_str_radix(h, 16).ok())
+                                .and_then(hex_value)
                                 .ok_or_else(|| "bad \\u escape".to_string())?;
                             self.pos += 4;
                             out.push(char::from_u32(hex).unwrap_or('\u{FFFD}'));
@@ -175,9 +268,9 @@ impl<'a> Json<'a> {
                     }
                 }
                 _ => {
-                    // Copy the raw UTF-8 byte run; hostnames are ASCII
-                    // but the parser must not corrupt other input.
-                    let start = self.pos - 1;
+                    // Copy the raw run up to the next quote or escape;
+                    // the source is a `&str`, so the run is valid UTF-8.
+                    let run_start = self.pos - 1;
                     while self
                         .bytes
                         .get(self.pos)
@@ -185,28 +278,30 @@ impl<'a> Json<'a> {
                     {
                         self.pos += 1;
                     }
-                    let run = std::str::from_utf8(&self.bytes[start..self.pos])
-                        .map_err(|_| "invalid utf-8 in string".to_string())?;
-                    out.push_str(run);
+                    out.push_str(&self.src[run_start..self.pos]);
                 }
             }
         }
     }
 
-    fn string_array(&mut self) -> Result<Vec<String>, String> {
+    /// Check an array of strings and count it; its elements are read
+    /// again, in place, by [`Hosts::iter`].
+    fn string_array(&mut self) -> Result<Hosts<'a>, String> {
         self.expect('[')?;
-        let mut out = Vec::new();
+        let source = Source::Json(&self.src[self.pos..]);
+        let mut len = 0;
         if self.peek() == Some(b']') {
             self.pos += 1;
-            return Ok(out);
+            return Ok(Hosts { source, len });
         }
         loop {
-            out.push(self.string()?);
+            self.string()?;
+            len += 1;
             match self.peek() {
                 Some(b',') => self.pos += 1,
                 Some(b']') => {
                     self.pos += 1;
-                    return Ok(out);
+                    return Ok(Hosts { source, len });
                 }
                 _ => return Err(format!("expected ',' or ']' at byte {}", self.pos)),
             }
@@ -214,48 +309,83 @@ impl<'a> Json<'a> {
     }
 }
 
+/// The value of a run of ASCII hex digits, or `None` if any byte is not
+/// one (`from_str_radix` alone would also take a leading `+`).
+fn hex_value(digits: &[u8]) -> Option<u32> {
+    digits
+        .iter()
+        .try_fold(0, |v, &b| Some(v << 4 | (b as char).to_digit(16)?))
+}
+
 /// Escape a string for inclusion in a JSON string literal.
 pub fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
+    json_escape_into(s, &mut out);
     out
 }
 
-/// Append one lookup result object (no trailing newline) to `out`.
-pub fn render_result(db: &GeoDb, host: &str, inference: Option<&GeoInference>, out: &mut String) {
-    match inference {
-        Some(inf) => {
-            let l = db.location(inf.location);
-            let _ = write!(
-                out,
-                "{{\"host\":\"{}\",\"ok\":true,\"location\":\"{}\",\"lat\":{:.4},\"lon\":{:.4},\
-                 \"hint\":\"{}\",\"type\":\"{}\",\"learned\":{},\"suffix\":\"{}\"}}",
-                json_escape(host),
-                json_escape(&l.display_name()),
-                l.coords.lat(),
-                l.coords.lon(),
-                json_escape(&inf.hint),
-                inf.ty,
-                inf.learned_hint,
-                json_escape(&inf.suffix),
-            );
+/// Append `s` to `out`, escaped for a JSON string literal.
+fn json_escape_into(s: &str, out: &mut String) {
+    // Every byte that needs escaping is ASCII, and ASCII bytes never
+    // occur inside a multi-byte character, so a byte scan is exact.
+    let mut plain = 0;
+    for (i, &b) in s.as_bytes().iter().enumerate() {
+        if b >= 0x20 && b != b'"' && b != b'\\' {
+            continue;
         }
-        None => {
-            let _ = write!(out, "{{\"host\":\"{}\",\"ok\":false}}", json_escape(host));
+        out.push_str(&s[plain..i]);
+        plain = i + 1;
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            _ => {
+                let _ = write!(out, "\\u{b:04x}");
+            }
         }
     }
+    out.push_str(&s[plain..]);
+}
+
+/// Append one lookup result object (no trailing newline) to `out`. A
+/// location's `"location","lat","lon"` members are formatted on its
+/// first hit and kept in the dictionary, so a hit renders without
+/// formatting a float.
+pub fn render_result(db: &GeoDb, host: &str, inference: Option<&GeoInference>, out: &mut String) {
+    out.push_str("{\"host\":\"");
+    json_escape_into(host, out);
+    let Some(inf) = inference else {
+        out.push_str("\",\"ok\":false}");
+        return;
+    };
+    out.push_str("\",\"ok\":true,");
+    out.push_str(db.rendered(inf.location, location_members));
+    out.push_str(",\"hint\":\"");
+    json_escape_into(&inf.hint, out);
+    out.push_str("\",\"type\":\"");
+    out.push_str(inf.ty.label());
+    out.push_str(if inf.learned_hint {
+        "\",\"learned\":true,\"suffix\":\""
+    } else {
+        "\",\"learned\":false,\"suffix\":\""
+    });
+    json_escape_into(&inf.suffix, out);
+    out.push_str("\"}");
+}
+
+/// A location's `"location":…,"lat":…,"lon":…` members.
+fn location_members(l: &Location) -> String {
+    let mut s = String::from("\"location\":\"");
+    json_escape_into(&l.display_name(), &mut s);
+    let _ = write!(
+        s,
+        "\",\"lat\":{:.4},\"lon\":{:.4}",
+        l.coords.lat(),
+        l.coords.lon()
+    );
+    s
 }
 
 /// Render an error object line.
@@ -333,28 +463,24 @@ pub fn query_param(query: &str, key: &str) -> Option<String> {
     None
 }
 
+/// Decode `%XX` (exactly two hex digits; anything else stays literal)
+/// and `+`.
 fn percent_decode(s: &str) -> String {
     let bytes = s.as_bytes();
     let mut out = Vec::with_capacity(bytes.len());
     let mut i = 0;
     while i < bytes.len() {
         match bytes[i] {
-            b'%' => {
-                let hex = bytes
-                    .get(i + 1..i + 3)
-                    .and_then(|h| std::str::from_utf8(h).ok())
-                    .and_then(|h| u8::from_str_radix(h, 16).ok());
-                match hex {
-                    Some(b) => {
-                        out.push(b);
-                        i += 3;
-                    }
-                    None => {
-                        out.push(b'%');
-                        i += 1;
-                    }
+            b'%' => match bytes.get(i + 1..i + 3).and_then(hex_value) {
+                Some(b) => {
+                    out.push(b as u8);
+                    i += 3;
                 }
-            }
+                None => {
+                    out.push(b'%');
+                    i += 1;
+                }
+            },
             b'+' => {
                 out.push(b' ');
                 i += 1;
@@ -387,24 +513,53 @@ pub fn http_response(status: &str, content_type: &str, body: &str) -> Vec<u8> {
 mod tests {
     use super::*;
 
+    /// The hostnames of a batch request, in order.
+    fn batch(line: &str) -> Vec<Cow<'_, str>> {
+        match parse_request(line) {
+            Request::Batch(hosts) => {
+                let all: Vec<_> = hosts.iter().collect();
+                assert_eq!(all.len(), hosts.len(), "{line}");
+                all
+            }
+            other => panic!("{line}: {other:?}"),
+        }
+    }
+
     #[test]
     fn parses_the_request_grammar() {
         assert_eq!(
             parse_request(r#"{"lookup":"r1.lhr.gtt.net"}"#),
-            Request::Lookup("r1.lhr.gtt.net".to_string())
+            Request::Lookup("r1.lhr.gtt.net".into())
         );
         assert_eq!(
-            parse_request(r#"{ "batch" : [ "a.gtt.net" , "b.gtt.net" ] }"#),
-            Request::Batch(vec!["a.gtt.net".to_string(), "b.gtt.net".to_string()])
+            batch(r#"{ "batch" : [ "a.gtt.net" , "b.gtt.net" ] }"#),
+            ["a.gtt.net", "b.gtt.net"]
         );
-        assert_eq!(parse_request(r#"{"batch":[]}"#), Request::Batch(vec![]));
+        assert!(batch(r#"{"batch":[]}"#).is_empty());
+        assert!(batch(r#"{"batch":[ ]}"#).is_empty());
         assert_eq!(parse_request(r#"{"cmd":"shutdown"}"#), Request::Shutdown);
         assert_eq!(parse_request(r#"{"cmd":"ping"}"#), Request::Ping);
         // Bare hostname: the printf|nc path.
         assert_eq!(
             parse_request("r1.lhr.gtt.net\n"),
-            Request::Lookup("r1.lhr.gtt.net".to_string())
+            Request::Lookup("r1.lhr.gtt.net".into())
         );
+    }
+
+    #[test]
+    fn hostnames_borrow_from_the_line_unless_escaped() {
+        let line = r#"{"batch":["ae1.lhr2.gtt.net","a\u0065\"1.gtt.net"]}"#;
+        let hosts = batch(line);
+        assert!(matches!(hosts[0], Cow::Borrowed("ae1.lhr2.gtt.net")));
+        assert!(matches!(&hosts[1], Cow::Owned(h) if h == "ae\"1.gtt.net"));
+        assert!(matches!(
+            parse_request(r#"{"lookup":"ae1.lhr2.gtt.net"}"#),
+            Request::Lookup(Cow::Borrowed("ae1.lhr2.gtt.net"))
+        ));
+        let body = "a.gtt.net\r\n\n  b.gtt.net \n";
+        let lines = Hosts::lines(body);
+        assert_eq!(lines.len(), 2);
+        assert_eq!(lines.iter().collect::<Vec<_>>(), ["a.gtt.net", "b.gtt.net"]);
     }
 
     #[test]
@@ -431,9 +586,34 @@ mod tests {
     fn string_escapes_roundtrip() {
         assert_eq!(
             parse_request("{\"lookup\":\"a\\\"b\\\\c\\u0041\"}"),
-            Request::Lookup("a\"b\\cA".to_string())
+            Request::Lookup("a\"b\\cA".into())
         );
         assert_eq!(json_escape("a\"b\\c\n"), "a\\\"b\\\\c\\n");
+        assert_eq!(json_escape("x\u{1}y\tz"), "x\\u0001y\\tz");
+        assert_eq!(json_escape("zürich\u{1f}\""), "zürich\\u001f\\\"");
+    }
+
+    /// `\u` takes exactly four hex digits: `from_str_radix` would read
+    /// `+041` as 0x41.
+    #[test]
+    fn unicode_escape_requires_four_hex_digits() {
+        assert_eq!(
+            parse_request(r#"{"lookup":"\u+041e1.lhr2.gtt.net"}"#),
+            Request::Malformed("bad \\u escape".to_string())
+        );
+        assert_eq!(
+            parse_request(r#"{"lookup":"\u0041e1.lhr2.gtt.net"}"#),
+            Request::Lookup("Ae1.lhr2.gtt.net".into())
+        );
+    }
+
+    /// `%` takes exactly two hex digits; otherwise it stays literal
+    /// (`%+4` keeps its `%`; its `+` is a space, as anywhere in a query).
+    #[test]
+    fn percent_escape_requires_two_hex_digits() {
+        assert_eq!(query_param("h=%+4", "h").as_deref(), Some("% 4"));
+        assert_eq!(query_param("h=a%2eb", "h").as_deref(), Some("a.b"));
+        assert_eq!(query_param("h=a%2", "h").as_deref(), Some("a%2"));
     }
 
     #[test]

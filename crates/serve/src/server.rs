@@ -468,7 +468,7 @@ fn respond(shared: &Shared, req: &Request, scratch: &mut String, out: &mut Strin
                 if i > 0 {
                     out.push(',');
                 }
-                lookup_into(&index, host, scratch, out);
+                lookup_into(&index, &host, scratch, out);
             }
             out.push_str("]}");
             true
@@ -550,9 +550,12 @@ fn serve_http(
         }
     }
     let route = (http.method.as_str(), http.path.as_str());
+    // A batch body outlives the request that borrows its hostnames.
+    let body: Vec<u8>;
+    let body_text;
     let req = match route {
         ("GET", "/lookup") => Some(match proto::query_param(&http.query, "h") {
-            Some(host) => Request::Lookup(host),
+            Some(host) => Request::Lookup(host.into()),
             None => Request::Malformed("missing h parameter".to_string()),
         }),
         ("POST", "/batch") => {
@@ -560,18 +563,14 @@ fn serve_http(
                 let reply = proto::error_response("413 Payload Too Large", "body exceeds limit");
                 return end(conn, (Some(oversize), Some(reply)));
             }
-            let mut body = Vec::with_capacity(content_length);
-            let outcome = reader.read_body(&mut body, content_length, limits, Some(hard));
+            let mut raw = Vec::with_capacity(content_length);
+            let outcome = reader.read_body(&mut raw, content_length, limits, Some(hard));
             if outcome != ReadOutcome::Complete {
                 return end(conn, read_failure(Phase::Body, outcome, ""));
             }
-            let hosts = String::from_utf8_lossy(&body)
-                .lines()
-                .map(str::trim)
-                .filter(|l| !l.is_empty())
-                .map(str::to_string)
-                .collect();
-            Some(Request::Batch(hosts))
+            body = raw;
+            body_text = String::from_utf8_lossy(&body);
+            Some(Request::Batch(proto::Hosts::lines(&body_text)))
         }
         ("GET", "/healthz") => Some(Request::Ping),
         ("POST", "/shutdown") => Some(Request::Shutdown),

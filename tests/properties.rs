@@ -122,7 +122,7 @@ fn base_regexes_match_their_source() {
             if let Some(e) = r.extract(&hostname) {
                 matched_any = true;
                 // The extraction is a substring of the hostname.
-                assert!(hostname.contains(&e.hint));
+                assert!(hostname.contains(&*e.hint));
             }
         }
         assert!(matched_any, "no base regex matched {hostname}");
